@@ -39,12 +39,11 @@ from .constraints import (
 )
 from .crschemes import (
     CrSchemeSpec,
-    Z99,
     exact_partition_marginal,
     partition_marginal_lower_bound,
     verify_scheme,
 )
-from .evaluate import optimal_adaptive, permutation_policy, simulate
+from .evaluate import THREE_SIGMA_RADII, optimal_adaptive, permutation_policy, simulate
 from .fixtures import (
     load_appendix_fixtures,
     random_instance,
@@ -72,9 +71,6 @@ TRANSFORM_COUNT = 100
 SPM_DRAWS = 100
 SCHEME_TRIALS = 100_000
 VALUE_TRIALS = 100_000
-
-# the criteria quote slacks in standard errors; radii carry the 99% quantile
-THREE_SIGMA_RADII = 3.0 / Z99
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import simplex
 from .constraints import (
     CapabilityError,
     ConstraintError,
@@ -37,9 +36,9 @@ from .constraints import (
     UniformMatroid,
 )
 from .crschemes import CrSchemeSpec
-from .evaluate import PolicyValueReport, Z99
+from .evaluate import PolicyValueReport
 from .instance import ProbingInstance, make_instance
-from .lp import MAX_CUT_ROUNDS, Cut, FractionalSolution, LpEngineError
+from .lp import Cut, FractionalSolution, cut_generation, solve_probing_space
 from .rounding import RoundingConfig, round_solution
 
 DISTRIBUTION_TOL = 1e-9
@@ -171,61 +170,21 @@ def solve_lp_p(spec: AuctionSpec) -> FractionalSolution:
     """
     instance = build_probing_instance(spec)
     width = spec.B + 1
-    total = instance.n
-    weights = instance.weights()
     probs = instance.probabilities()
-    active = [e for e in range(total) if probs[e] > 0]
-    if not active:
-        return FractionalSolution(
-            x=(0.0,) * total, y=(0.0,) * total, objective=0.0, cuts=()
-        )
-    col_of = {e: j for j, e in enumerate(active)}
-    m = len(active)
+    copies = [range(i * width, (i + 1) * width) for i in range(spec.n)]
 
-    c = np.array([weights[e] * probs[e] for e in active])
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    cuts: list[Cut] = []
-    for j in range(m):
-        box = np.zeros(m)
-        box[j] = 1.0
-        rows.append(box)
-        rhs.append(1.0)
-    for i in range(spec.n):
-        offer = np.zeros(m)
-        for e in range(i * width, (i + 1) * width):
-            if e in col_of:
-                offer[col_of[e]] = 1.0
-        rows.append(offer)
-        rhs.append(1.0)
-
-    for _ in range(MAX_CUT_ROUNDS):
-        result = simplex.maximize(c, np.array(rows), np.array(rhs))
-        y_full = np.zeros(total)
-        for e, j in col_of.items():
-            y_full[e] = min(1.0, max(0.0, result.x[j]))
-        x_full = probs * y_full
-        served = x_full.reshape(spec.n, width).sum(axis=1)
+    def find_cuts(x, y):
+        served = x.reshape(spec.n, width).sum(axis=1)
         witness = spec.feasibility.separate(np.minimum(served, 1.0))
         if witness is None:
-            return FractionalSolution(
-                x=tuple(float(v) for v in x_full),
-                y=tuple(float(v) for v in y_full),
-                objective=float(result.objective),
-                cuts=tuple(cuts),
-            )
+            return []
         rank = spec.feasibility.rank(witness.members)
-        row = np.zeros(m)
-        members = []
-        for i in witness.members:
-            for e in range(i * width, (i + 1) * width):
-                if e in col_of:
-                    row[col_of[e]] = probs[e]
-                    members.append(e)
-        rows.append(row)
-        rhs.append(float(rank))
-        cuts.append(Cut("inner", frozenset(members), rank))
-    raise LpEngineError(f"cut generation failed to converge in {MAX_CUT_ROUNDS} rounds")
+        members = frozenset(
+            e for i in witness.members for e in copies[i] if probs[e] > 0
+        )
+        return [Cut("inner", members, rank)]
+
+    return solve_probing_space(instance, copies, find_cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +247,27 @@ def solve_lp_m(spec: AuctionSpec) -> MechanismLpSolution:
         rhs.append(1.0)
 
     masses = np.array([list(d) for d in spec.distributions])
-    for _ in range(MAX_CUT_ROUNDS):
-        result = simplex.maximize(coeff, np.array(rows), np.array(rhs))
-        z = np.clip(result.x.reshape(spec.n, width), 0.0, 1.0)
-        served = (masses * z).sum(axis=1)
-        witness = spec.feasibility.separate(np.minimum(served, 1.0))
+
+    def serve(v):
+        z = np.clip(v.reshape(spec.n, width), 0.0, 1.0)
+        return z, (masses * z).sum(axis=1)
+
+    def separate(v):
+        witness = spec.feasibility.separate(np.minimum(serve(v)[1], 1.0))
         if witness is None:
-            return MechanismLpSolution(
-                z=tuple(tuple(float(v) for v in row) for row in z),
-                x=tuple(float(v) for v in served),
-                objective=float(result.objective),
-            )
-        rank = spec.feasibility.rank(witness.members)
+            return []
         row = np.zeros(dim)
         for i in witness.members:
             row[i * width : (i + 1) * width] = masses[i]
-        rows.append(row)
-        rhs.append(float(rank))
-    raise LpEngineError(f"cut generation failed to converge in {MAX_CUT_ROUNDS} rounds")
+        return [(row, float(spec.feasibility.rank(witness.members)))]
+
+    result, _ = cut_generation(coeff, rows, rhs, separate)
+    z, served = serve(result.x)
+    return MechanismLpSolution(
+        z=tuple(tuple(float(v) for v in row) for row in z),
+        x=tuple(float(v) for v in served),
+        objective=float(result.objective),
+    )
 
 
 def mechanism_to_probing_point(
@@ -454,11 +416,7 @@ def evaluate_spm(
                 checker.add(agent)
                 revenue += price
         values[t] = revenue
-    mean = float(values.mean())
-    radius = 0.0
-    if trials > 1:
-        radius = float(Z99 * values.std(ddof=1) / np.sqrt(trials))
-    return PolicyValueReport(mean, radius, trials, "monte_carlo")
+    return PolicyValueReport.from_samples(values)
 
 
 def _exact_revenue(mechanism: SpmMechanism, spec: AuctionSpec) -> float:

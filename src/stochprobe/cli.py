@@ -29,7 +29,7 @@ from .auction import (
 )
 from .constraints import CapabilityError, ConstraintError
 from .crschemes import CrSchemeSpec, verify_scheme
-from .evaluate import Z99, optimal_adaptive, simulate
+from .evaluate import THREE_SIGMA_RADII, optimal_adaptive, simulate
 from .greedy import (
     build_dual_certificate,
     build_expected_certificate,
@@ -46,9 +46,6 @@ from .rounding import RoundingConfig, default_config, estimate_policy_value
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 10_000
 SCHEME_CHOICES = ("ordered_ksystem", "partition_random_choice")
-
-# slack expressed in standard errors; report radii use the 99% quantile
-THREE_SIGMA = 3.0 / Z99
 
 
 @dataclass
@@ -156,7 +153,7 @@ def _lp(args, argv):
     solution = solve_probing_lp(instance)
     report = RunReport(argv, {"seed": args.seed})
     report.add("lp_objective", solution.objective, "exact")
-    report.add("cut_rounds", len(solution.cuts), "exact")
+    report.add("cut_rounds", solution.rounds, "exact")
     report.tables["solution"] = [
         {"y": list(solution.y)},
         {"x": list(solution.x)},
@@ -198,7 +195,7 @@ def _round(args, argv):
     report.add("simulated_value", outcome.mean, _monte_carlo(args.trials))
     report.add("simulated_radius", outcome.radius, _monte_carlo(args.trials))
     report.flags["bound_met"] = bool(
-        outcome.mean >= factor * solution.objective - THREE_SIGMA * outcome.radius
+        outcome.mean >= factor * solution.objective - THREE_SIGMA_RADII * outcome.radius
     )
     return report, 0
 
@@ -304,7 +301,7 @@ def _verify_cr(args, argv):
             _monte_carlo(args.trials),
         )
         report.flags[f"{label}_satisfied"] = verification.satisfied(
-            slack_radii=THREE_SIGMA
+            slack_radii=THREE_SIGMA_RADII
         )
     return report, 0
 

@@ -40,10 +40,10 @@ from .constraints import (
     ConstraintSystem,
     PartitionMatroid,
 )
+from .evaluate import Z99
 
 ORDER_POLICIES = ("by-index", "by-weight-desc", "random")
 KINDS = ("ordered_ksystem", "partition_random_choice")
-Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ ORACLE_DEADLINE_LIMIT = 10
 
 # two-sided 99% normal quantile for confidence radii
 Z99 = 2.5758293035489004
+# slacks are quoted in standard errors; this many radii make three of them
+THREE_SIGMA_RADII = 3.0 / Z99
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,15 @@ class PolicyValueReport:
     def __post_init__(self):
         if self.radius < 0:
             raise ConstraintError("confidence radius must be non-negative")
+
+    @classmethod
+    def from_samples(cls, values: np.ndarray) -> "PolicyValueReport":
+        """Mean of per-trial values with its 99% normal confidence radius."""
+        trials = len(values)
+        radius = 0.0
+        if trials > 1:
+            radius = float(Z99 * values.std(ddof=1) / np.sqrt(trials))
+        return cls(float(values.mean()), radius, trials, "monte_carlo")
 
 
 def simulate(
@@ -54,12 +65,7 @@ def simulate(
     values = np.empty(trials)
     for t in range(trials):
         values[t] = policy(instance, np.random.default_rng((seed, t)))
-    mean = float(values.mean())
-    if trials < 2:
-        radius = 0.0
-    else:
-        radius = float(Z99 * values.std(ddof=1) / np.sqrt(trials))
-    return PolicyValueReport(mean, radius, trials, "monte_carlo")
+    return PolicyValueReport.from_samples(values)
 
 
 def permutation_policy(

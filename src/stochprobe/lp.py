@@ -5,6 +5,8 @@ The relaxation has one variable y_e per element with positive probability
 requires x to satisfy the inner system's rank constraints and y the outer
 system's. Rather than enumerating exponentially many rank constraints we
 alternate: solve with the cuts found so far, separate at the optimum, repeat.
+cut_generation is that loop for every LP in the package, including the
+auction relaxations LP_P and LP_M.
 """
 
 from __future__ import annotations
@@ -38,6 +40,27 @@ class FractionalSolution:
     y: tuple[float, ...]
     objective: float
     cuts: tuple[Cut, ...]
+    rounds: int  # LP solves, 0 when nothing had positive probability
+
+
+def cut_generation(c, rows, rhs, separate) -> tuple[simplex.LpResult, int]:
+    """Maximize c.v subject to rows.v <= rhs plus the cuts `separate` finds.
+
+    Each round solves the current LP and passes the raw optimum to
+    separate(v), which returns the violated (row, rhs) pairs; they are
+    appended in that order, so callers fix the tableau Bland's rule sees.
+    Returns the first optimum without violations and the number of solves.
+    """
+    rows, rhs = list(rows), list(rhs)
+    for rounds in range(1, MAX_CUT_ROUNDS + 1):
+        result = simplex.maximize(c, np.array(rows), np.array(rhs))
+        found = separate(result.x)
+        if not found:
+            return result, rounds
+        for row, bound in found:
+            rows.append(row)
+            rhs.append(bound)
+    raise LpEngineError(f"cut generation failed to converge in {MAX_CUT_ROUNDS} rounds")
 
 
 def solve_probing_lp(instance: ProbingInstance) -> FractionalSolution:
@@ -46,69 +69,74 @@ def solve_probing_lp(instance: ProbingInstance) -> FractionalSolution:
     Elements with p_e = 0 contribute nothing and are dropped from the LP
     (their y is reported as 0).
     """
+
+    def find_cuts(x, y):
+        cuts = []
+        for side, system, point in (
+            ("inner", instance.inner, x),
+            ("outer", instance.outer, y),
+        ):
+            witness = system.separate(point)
+            if witness is not None:
+                cuts.append(Cut(side, witness.members, system.rank(witness.members)))
+        return cuts
+
+    return solve_probing_space(instance, (), find_cuts)
+
+
+def solve_probing_space(instance: ProbingInstance, fixed, find_cuts) -> FractionalSolution:
+    """The probing relaxation over y in [0,1]^n with x = p * y.
+
+    Each element set in `fixed` adds a row sum(y over the set) <= 1 after
+    the box rows. find_cuts(x, y) returns the rank cuts violated at the
+    clipped optimum; an inner cut bounds x over its members, an outer one y.
+    """
     n = instance.n
-    weights = instance.weights()
     probs = instance.probabilities()
     active = [e for e in range(n) if probs[e] > 0]
     if not active:
         return FractionalSolution(
-            x=(0.0,) * n, y=(0.0,) * n, objective=0.0, cuts=()
+            x=(0.0,) * n, y=(0.0,) * n, objective=0.0, cuts=(), rounds=0
         )
     col_of = {e: j for j, e in enumerate(active)}
     m = len(active)
+    ones = np.ones(n)
 
-    c = np.array([weights[e] * probs[e] for e in active])
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    cuts: list[Cut] = []
-    for j in range(m):
-        box = np.zeros(m)
-        box[j] = 1.0
-        rows.append(box)
-        rhs.append(1.0)
+    def row_of(members, coefficients):
+        row = np.zeros(m)
+        for e in members:
+            if e in col_of:
+                row[col_of[e]] = coefficients[e]
+        return row
 
-    y_full = np.zeros(n)
-    objective = 0.0
-    for _ in range(MAX_CUT_ROUNDS):
-        result = simplex.maximize(c, np.array(rows), np.array(rhs))
-        y = result.x
-        objective = result.objective
-        y_full = np.zeros(n)
+    def clipped(v):
+        y = np.zeros(n)
         for e, j in col_of.items():
-            y_full[e] = min(1.0, max(0.0, y[j]))
-        x_full = probs * y_full
+            y[e] = min(1.0, max(0.0, v[j]))
+        return probs * y, y
 
-        violated = False
-        inner_w = instance.inner.separate(x_full)
-        if inner_w is not None:
-            rank = instance.inner.rank(inner_w.members)
-            row = np.zeros(m)
-            for e in inner_w.members:
-                if e in col_of:
-                    row[col_of[e]] = probs[e]
-            rows.append(row)
-            rhs.append(float(rank))
-            cuts.append(Cut("inner", inner_w.members, rank))
-            violated = True
-        outer_w = instance.outer.separate(y_full)
-        if outer_w is not None:
-            rank = instance.outer.rank(outer_w.members)
-            row = np.zeros(m)
-            for e in outer_w.members:
-                if e in col_of:
-                    row[col_of[e]] = 1.0
-            rows.append(row)
-            rhs.append(float(rank))
-            cuts.append(Cut("outer", outer_w.members, rank))
-            violated = True
-        if not violated:
-            return FractionalSolution(
-                x=tuple(float(v) for v in x_full),
-                y=tuple(float(v) for v in y_full),
-                objective=float(objective),
-                cuts=tuple(cuts),
-            )
-    raise LpEngineError(f"cut generation failed to converge in {MAX_CUT_ROUNDS} rounds")
+    cuts: list[Cut] = []
+
+    def separate(v):
+        found = find_cuts(*clipped(v))
+        cuts.extend(found)
+        return [
+            (row_of(cut.members, probs if cut.side == "inner" else ones), float(cut.rank))
+            for cut in found
+        ]
+
+    weights = instance.weights()
+    c = np.array([weights[e] * probs[e] for e in active])
+    rows = list(np.eye(m)) + [row_of(s, ones) for s in fixed]
+    result, rounds = cut_generation(c, rows, [1.0] * len(rows), separate)
+    x, y = clipped(result.x)
+    return FractionalSolution(
+        x=tuple(float(v) for v in x),
+        y=tuple(float(v) for v in y),
+        objective=float(result.objective),
+        cuts=tuple(cuts),
+        rounds=rounds,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraints import CapabilityError, ConstraintError, PartitionMatroid
 from .crschemes import CrSchemeSpec, resolve, resolve_ordered, scheme_order
-from .evaluate import PolicyValueReport, Z99
+from .evaluate import PolicyValueReport
 from .greedy import Activity, _activity_fn
 from .instance import ProbingInstance
 from .lp import FractionalSolution, solve_probing_lp
@@ -154,11 +154,7 @@ def estimate_policy_value(
         policy = round_solution(instance, y, config, rng)
         chosen = execute(policy, instance, rng)
         values[t] = sum(weights[e] for e in chosen)
-    mean = float(values.mean())
-    radius = 0.0
-    if trials > 1:
-        radius = float(Z99 * values.std(ddof=1) / np.sqrt(trials))
-    return PolicyValueReport(mean, radius, trials, "monte_carlo")
+    return PolicyValueReport.from_samples(values)
 
 
 def exact_chosen_marginals(

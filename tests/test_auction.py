@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_rank, lp_oracle, spm_lp_m_oracle, spm_revenue_oracle
+from stochprobe import lp
 from stochprobe.auction import (
     AuctionSpec,
     SpmMechanism,
@@ -31,6 +32,7 @@ from stochprobe.constraints import (
     UniformMatroid,
 )
 from stochprobe.fixtures import spm_matching_fixture, spm_uniform_fixture
+from stochprobe.lp import LpEngineError
 
 
 def uniform12_spec(agents: int = 1, rank: int = 1) -> AuctionSpec:
@@ -232,6 +234,17 @@ class TestSolveLpP:
             assert probing_point_is_feasible(spec, y, tol=1e-7)
             probs = build_probing_instance(spec).probabilities()
             assert np.array(solution.x) == pytest.approx(probs * y, abs=1e-12)
+
+
+@pytest.mark.parametrize("solve", [solve_lp_p, solve_lp_m])
+def test_round_cap_is_read_from_lp(monkeypatch, solve):
+    # both agents always value 2 and only one may be served: the first
+    # optimum serves both, so a cut is needed
+    spec = AuctionSpec(((0.0, 0.0, 1.0),) * 2, UniformMatroid(2, 1))
+    assert solve(spec).objective == pytest.approx(2.0, abs=1e-9)
+    monkeypatch.setattr(lp, "MAX_CUT_ROUNDS", 1)
+    with pytest.raises(LpEngineError, match="in 1 rounds"):
+        solve(spec)
 
 
 class TestSolveLpM:

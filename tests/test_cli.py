@@ -8,8 +8,11 @@ import pytest
 
 from stochprobe import cli
 from stochprobe.acceptance import CriterionResult
+from stochprobe.constraints import UniformMatroid
 from stochprobe.greedy import exact_greedy_value
-from stochprobe.io import read_instance
+from stochprobe.instance import make_instance
+from stochprobe.io import emit_instance, read_instance
+from stochprobe.lp import solve_probing_lp
 
 WEIGHTED = "data/small_weighted.json"
 DEADLINE = "data/small_deadline.json"
@@ -62,9 +65,22 @@ def test_round_ratios_recompute_from_raw_metrics(capsys):
         "lp_objective"
     ]
     recomputed = metrics["simulated_value"] >= metrics["guaranteed_value"] - (
-        cli.THREE_SIGMA * metrics["simulated_radius"]
+        cli.THREE_SIGMA_RADII * metrics["simulated_radius"]
     )
     assert doc["flags"]["bound_met"] == recomputed
+
+
+def test_lp_cut_rounds_counts_solves(capsys, tmp_path):
+    # nothing binds: one solve, no cuts
+    instance = make_instance(
+        [1, 2], [0.5, 0.5], UniformMatroid(2, 2), UniformMatroid(2, 2)
+    )
+    path = tmp_path / "free.json"
+    path.write_text(emit_instance(instance))
+    code, out = run_cli(capsys, "lp", "--instance", str(path))
+    assert code == 0
+    assert json.loads(out)["metrics"]["cut_rounds"]["value"] == 1
+    assert solve_probing_lp(instance).cuts == ()
 
 
 def test_certify_reports_per_path_verdicts(capsys):

@@ -7,6 +7,8 @@ import pytest
 
 from stochprobe.constraints import CapabilityError, ConstraintError, UniformMatroid
 from stochprobe.evaluate import (
+    Z99,
+    PolicyValueReport,
     exact_nonadaptive_value,
     optimal_adaptive,
     permutation_policy,
@@ -32,6 +34,16 @@ def test_simulate_zero_variance_when_deterministic():
     report = simulate(greedy_policy, inst, trials=50, seed=0)
     assert report.mean == pytest.approx(5.0)
     assert report.radius == 0.0
+    assert report.method == "monte_carlo"
+
+
+def test_report_from_samples():
+    single = PolicyValueReport.from_samples(np.array([4.0]))
+    assert (single.mean, single.radius, single.trials) == (4.0, 0.0, 1)
+    values = np.array([1.0, 2.0, 4.0, 7.0])
+    report = PolicyValueReport.from_samples(values)
+    assert report.mean == 3.5
+    assert report.radius == pytest.approx(Z99 * np.std(values, ddof=1) / 2.0)
     assert report.method == "monte_carlo"
 
 

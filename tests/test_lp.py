@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from stochprobe import lp
 from stochprobe.constraints import (
     GraphicMatroid,
     IntersectionSystem,
@@ -20,8 +21,10 @@ from stochprobe.constraints import (
 from stochprobe.instance import make_instance
 from stochprobe.lp import (
     DualCertificate,
+    LpEngineError,
     check_claim_lp_opt,
     check_dual,
+    cut_generation,
     solve_probing_lp,
 )
 
@@ -78,6 +81,35 @@ def test_all_zero_instance():
     sol = solve_probing_lp(inst)
     assert sol.objective == 0.0
     assert sol.cuts == ()
+    assert sol.rounds == 0
+
+
+def test_rounds_count_solves_not_cuts():
+    # the first optimum takes both elements and needs one inner cut
+    inst = make_instance([1, 1], [1, 1], UniformMatroid(2, 1), UniformMatroid(2, 2))
+    sol = solve_probing_lp(inst)
+    assert (sol.rounds, len(sol.cuts)) == (2, 1)
+
+
+def test_round_cap_is_read_at_call_time(monkeypatch):
+    inst = make_instance([1, 1], [1, 1], UniformMatroid(2, 1), UniformMatroid(2, 2))
+    monkeypatch.setattr(lp, "MAX_CUT_ROUNDS", 1)
+    with pytest.raises(LpEngineError, match="in 1 rounds"):
+        solve_probing_lp(inst)
+
+
+def test_cut_generation_adds_returned_rows_until_none():
+    seen = []
+
+    def separate(v):
+        seen.append(v.copy())
+        return [(np.ones(2), 1.0)] if v.sum() > 1.0 + 1e-9 else []
+
+    result, rounds = cut_generation(np.array([2.0, 1.0]), np.eye(2), [1.0, 1.0], separate)
+    assert rounds == 2
+    assert seen[0] == pytest.approx([1.0, 1.0])
+    assert result.x == pytest.approx([1.0, 0.0])
+    assert result.objective == pytest.approx(2.0)
 
 
 def _random_system(rng, n):
