@@ -201,19 +201,26 @@ class MechanismLpSolution:
     objective: float
 
 
-def mechanism_objective(spec: AuctionSpec, z: Sequence[Sequence[float]]) -> float:
-    """Expected revenue of allocation curves z under the payment identity.
+def curve_coefficients(spec: AuctionSpec, agent: int) -> list[float]:
+    """LP_M objective coefficient of each curve point z_{agent,c}, c = 0..B.
 
-    The value-c term pays c*z_{i,c} minus the information rents sum_{h<c}
-    z_{i,h}; collecting per curve point gives coefficient
-    c*Pr[v=c] - Pr[v>c].
+    Under the payment identity the value-c term pays c*z_{i,c} minus the
+    information rents sum_{h<c} z_{i,h}; collecting per curve point gives
+    coefficient c*Pr[v=c] - Pr[v>c].
     """
+    surv = spec.survival(agent)
+    return [
+        price * mass - (float(surv[price]) - mass)
+        for price, mass in enumerate(spec.distributions[agent])
+    ]
+
+
+def mechanism_objective(spec: AuctionSpec, z: Sequence[Sequence[float]]) -> float:
+    """Expected revenue of allocation curves z under the payment identity."""
     total = 0.0
-    for i, dist in enumerate(spec.distributions):
-        surv = spec.survival(i)
-        for price, mass in enumerate(dist):
-            above = float(surv[price]) - mass
-            total += (price * mass - above) * float(z[i][price])
+    for i in range(spec.n):
+        for price, coefficient in enumerate(curve_coefficients(spec, i)):
+            total += coefficient * float(z[i][price])
     return total
 
 
@@ -226,11 +233,7 @@ def solve_lp_m(spec: AuctionSpec) -> MechanismLpSolution:
     """
     width = spec.B + 1
     dim = spec.n * width
-    coeff = np.zeros(dim)
-    for i, dist in enumerate(spec.distributions):
-        surv = spec.survival(i)
-        for price, mass in enumerate(dist):
-            coeff[i * width + price] = price * mass - (float(surv[price]) - mass)
+    coeff = np.array([v for i in range(spec.n) for v in curve_coefficients(spec, i)])
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
@@ -261,7 +264,7 @@ def solve_lp_m(spec: AuctionSpec) -> MechanismLpSolution:
             row[i * width : (i + 1) * width] = masses[i]
         return [(row, float(spec.feasibility.rank(witness.members)))]
 
-    result, _ = cut_generation(coeff, rows, rhs, separate)
+    result, _, _ = cut_generation(coeff, rows, rhs, separate)
     z, served = serve(result.x)
     return MechanismLpSolution(
         z=tuple(tuple(float(v) for v in row) for row in z),

@@ -41,22 +41,26 @@ class FractionalSolution:
     objective: float
     cuts: tuple[Cut, ...]
     rounds: int  # LP solves, 0 when nothing had positive probability
+    pivots: int  # simplex pivots summed over those solves
 
 
-def cut_generation(c, rows, rhs, separate) -> tuple[simplex.LpResult, int]:
+def cut_generation(c, rows, rhs, separate) -> tuple[simplex.LpResult, int, int]:
     """Maximize c.v subject to rows.v <= rhs plus the cuts `separate` finds.
 
     Each round solves the current LP and passes the raw optimum to
     separate(v), which returns the violated (row, rhs) pairs; they are
     appended in that order, so callers fix the tableau Bland's rule sees.
-    Returns the first optimum without violations and the number of solves.
+    Returns the first optimum without violations, the number of solves and
+    the simplex pivots summed over them.
     """
     rows, rhs = list(rows), list(rhs)
+    pivots = 0
     for rounds in range(1, MAX_CUT_ROUNDS + 1):
         result = simplex.maximize(c, np.array(rows), np.array(rhs))
+        pivots += result.iterations
         found = separate(result.x)
         if not found:
-            return result, rounds
+            return result, rounds, pivots
         for row, bound in found:
             rows.append(row)
             rhs.append(bound)
@@ -96,7 +100,7 @@ def solve_probing_space(instance: ProbingInstance, fixed, find_cuts) -> Fraction
     active = [e for e in range(n) if probs[e] > 0]
     if not active:
         return FractionalSolution(
-            x=(0.0,) * n, y=(0.0,) * n, objective=0.0, cuts=(), rounds=0
+            x=(0.0,) * n, y=(0.0,) * n, objective=0.0, cuts=(), rounds=0, pivots=0
         )
     col_of = {e: j for j, e in enumerate(active)}
     m = len(active)
@@ -128,7 +132,7 @@ def solve_probing_space(instance: ProbingInstance, fixed, find_cuts) -> Fraction
     weights = instance.weights()
     c = np.array([weights[e] * probs[e] for e in active])
     rows = list(np.eye(m)) + [row_of(s, ones) for s in fixed]
-    result, rounds = cut_generation(c, rows, [1.0] * len(rows), separate)
+    result, rounds, pivots = cut_generation(c, rows, [1.0] * len(rows), separate)
     x, y = clipped(result.x)
     return FractionalSolution(
         x=tuple(float(v) for v in x),
@@ -136,6 +140,7 @@ def solve_probing_space(instance: ProbingInstance, fixed, find_cuts) -> Fraction
         objective=float(result.objective),
         cuts=tuple(cuts),
         rounds=rounds,
+        pivots=pivots,
     )
 
 

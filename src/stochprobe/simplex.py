@@ -3,7 +3,10 @@
 All LPs in this package arrive in this form (rank cuts and box rows with
 non-negative right-hand sides), so phase one is never needed. Bland's rule
 guarantees termination under the degeneracy these cut-generated LPs produce.
-Instances are tiny; correctness and determinism beat speed here.
+The pricing scan, the ratio test and the pivot are vectorised with numpy,
+but every tableau entry sees the same floating-point operations as under
+the scalar rule, so the pivot sequence and the result are bit for bit those
+of the textbook row-by-row loop.
 """
 
 from __future__ import annotations
@@ -43,33 +46,34 @@ def maximize(c, a_ub, b_ub, max_iterations: int = 50_000) -> LpResult:
     tab[:m, -1] = np.maximum(b, 0.0)
     tab[m, :n] = -c
     basis = list(range(n, n + m))
+    # views into the tableau, so every pivot updates them in place
+    reduced = tab[m, : n + m]
+    rhs = tab[:m, -1]
 
     iterations = 0
     while True:
         # Bland: entering variable is the lowest index with a negative
         # reduced cost
-        entering = -1
-        for j in range(n + m):
-            if tab[m, j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        negative = reduced < -PIVOT_TOL
+        entering = int(negative.argmax())
+        if not negative[entering]:
             break
-        leaving_row = -1
-        best_ratio = None
-        for i in range(m):
-            coef = tab[i, entering]
-            if coef > PIVOT_TOL:
-                ratio = tab[i, -1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - PIVOT_TOL
-                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving_row])
-                ):
-                    best_ratio = ratio
-                    leaving_row = i
-        if leaving_row < 0:
+        column = tab[:m, entering]
+        candidates = (column > PIVOT_TOL).nonzero()[0]
+        if not candidates.size:
             raise SimplexError("LP is unbounded")
+        ratios = (rhs[candidates] / column[candidates]).tolist()
+        # the tolerance tie-break depends on scan order, so replay it in
+        # row order over the candidates: the minimum ratio, ties to the
+        # lowest basic variable
+        rows = candidates.tolist()
+        leaving_row, best_ratio = rows[0], ratios[0]
+        for i, ratio in zip(rows[1:], ratios[1:]):
+            if ratio < best_ratio - PIVOT_TOL or (
+                abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leaving_row]
+            ):
+                best_ratio = ratio
+                leaving_row = i
         _pivot(tab, leaving_row, entering)
         basis[leaving_row] = entering
         iterations += 1
@@ -84,7 +88,10 @@ def maximize(c, a_ub, b_ub, max_iterations: int = 50_000) -> LpResult:
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Eliminate column col from every row but row, one rank-1 update over
+    the rows with a non-zero factor (skipping zeros keeps signed zeros)."""
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    rows = factors.nonzero()[0]
+    tab[rows] -= factors[rows, None] * tab[row]

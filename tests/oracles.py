@@ -1,6 +1,6 @@
 """Brute-force oracles used to pin expected values independently of the
-implementation under test. Everything here enumerates; nothing here shares
-code with the package's fast paths."""
+implementation under test. Everything here enumerates or scans scalar by
+scalar; nothing here shares code with the package's fast paths."""
 
 from __future__ import annotations
 
@@ -192,3 +192,63 @@ def lp_oracle(weights, probs, inner_rank, outer_rank):
     res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=(0, 1))
     assert res.success, res.message
     return -res.fun
+
+
+def bland_reference(c, a, b, max_iterations: int = 50_000):
+    """max{c.x : a x <= b, x >= 0} (b >= 0) by the textbook scalar Bland loop.
+
+    Scans reduced costs and ratios one entry at a time and pivots row by
+    row; the vectorised simplex must reproduce it bit for bit. Returns
+    (x, objective, iterations) and raises RuntimeError when the LP is
+    unbounded or the pivot count exceeds max_iterations.
+    """
+    import numpy as np
+
+    tol = 1e-9
+    c = np.asarray(c, dtype=float)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = np.maximum(b, 0.0)
+    tab[m, :n] = -c
+    basis = list(range(n, n + m))
+    iterations = 0
+    while True:
+        entering = -1
+        for j in range(n + m):
+            if tab[m, j] < -tol:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving_row = -1
+        best_ratio = None
+        for i in range(m):
+            coef = tab[i, entering]
+            if coef > tol:
+                ratio = tab[i, -1] / coef
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - tol
+                    or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leaving_row])
+                ):
+                    best_ratio = ratio
+                    leaving_row = i
+        if leaving_row < 0:
+            raise RuntimeError("LP is unbounded")
+        tab[leaving_row] /= tab[leaving_row, entering]
+        for i in range(m + 1):
+            if i != leaving_row and tab[i, entering] != 0.0:
+                tab[i] -= tab[i, entering] * tab[leaving_row]
+        basis[leaving_row] = entering
+        iterations += 1
+        if iterations > max_iterations:
+            raise RuntimeError(f"iteration limit {max_iterations} exceeded")
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[i, -1]
+    return x, float(tab[m, -1]), iterations

@@ -272,11 +272,26 @@ class TestSolveLpM:
             assert got == pytest.approx(want, abs=1e-7)
 
     def test_objective_matches_payment_identity_form(self):
+        # raw payment identity: the value-c type pays c*z_c minus the rents
+        # sum_{h<c} z_h, weighted by Pr[v=c]; the package collects per point
+        def raw_revenue(spec, z):
+            total = 0.0
+            for i, dist in enumerate(spec.distributions):
+                for val, mass in enumerate(dist):
+                    total += mass * (val * z[i][val] - sum(z[i][h] for h in range(val)))
+            return total
+
+        rng = np.random.default_rng(5)
         for seed in range(4):
             spec = spm_uniform_fixture(seed, agents=4, max_value=4, rank=2)
             solution = solve_lp_m(spec)
+            assert raw_revenue(spec, solution.z) == pytest.approx(solution.objective, abs=1e-9)
             assert mechanism_objective(spec, solution.z) == pytest.approx(
-                solution.objective, abs=1e-9
+                raw_revenue(spec, solution.z), abs=1e-9
+            )
+            curves = np.sort(rng.uniform(0.0, 1.0, size=(spec.n, spec.B + 1)), axis=1)
+            assert mechanism_objective(spec, curves) == pytest.approx(
+                raw_revenue(spec, curves), abs=1e-9
             )
 
     def test_probing_relaxation_dominates_mechanism_relaxation(self):

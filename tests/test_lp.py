@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stochprobe import lp
+from stochprobe import lp, simplex
 from stochprobe.constraints import (
     GraphicMatroid,
     IntersectionSystem,
@@ -82,6 +82,7 @@ def test_all_zero_instance():
     assert sol.objective == 0.0
     assert sol.cuts == ()
     assert sol.rounds == 0
+    assert sol.pivots == 0
 
 
 def test_rounds_count_solves_not_cuts():
@@ -105,11 +106,55 @@ def test_cut_generation_adds_returned_rows_until_none():
         seen.append(v.copy())
         return [(np.ones(2), 1.0)] if v.sum() > 1.0 + 1e-9 else []
 
-    result, rounds = cut_generation(np.array([2.0, 1.0]), np.eye(2), [1.0, 1.0], separate)
+    result, rounds, pivots = cut_generation(
+        np.array([2.0, 1.0]), np.eye(2), [1.0, 1.0], separate
+    )
     assert rounds == 2
+    # each solve starts from scratch: two pivots to the box corner, then two
+    # more with the cut row
+    assert pivots == 4
     assert seen[0] == pytest.approx([1.0, 1.0])
     assert result.x == pytest.approx([1.0, 0.0])
     assert result.objective == pytest.approx(2.0)
+
+
+def _partition_instance():
+    """30 elements in parts of 3 with one pick per part, at most 12 probes.
+
+    Weights and probabilities have one decimal, so ratio-test ties (and
+    Bland's tie-break) occur along the way.
+    """
+    rng = np.random.default_rng(2013)
+    parts = tuple(tuple(range(i, i + 3)) for i in range(0, 30, 3))
+    return make_instance(
+        np.round(rng.uniform(0.1, 3.0, 30), 1),
+        np.round(rng.uniform(0.4, 1.0, 30), 1),
+        PartitionMatroid(30, parts, (1,) * 10),
+        UniformMatroid(30, 12),
+    )
+
+
+def test_pivots_sum_every_solve(monkeypatch):
+    counts = []
+    solve = simplex.maximize
+
+    def counting(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        counts.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(simplex, "maximize", counting)
+    sol = solve_probing_lp(_partition_instance())
+    assert sol.rounds == len(counts)
+    assert sol.pivots == sum(counts)
+
+
+def test_pivot_sequence_is_pinned():
+    # a deterministic work count, not a timing, read off the scalar Bland
+    # loop: a change to the pricing, the ratio-test tie-break or the cut
+    # order moves these numbers
+    sol = solve_probing_lp(_partition_instance())
+    assert (sol.rounds, len(sol.cuts), sol.pivots) == (6, 6, 316)
 
 
 def _random_system(rng, n):
