@@ -36,7 +36,7 @@ from .constraints import (
     UniformMatroid,
 )
 from .crschemes import CrSchemeSpec
-from .evaluate import PolicyValueReport
+from .evaluate import PolicyValueReport, monte_carlo
 from .instance import ProbingInstance, make_instance
 from .lp import Cut, FractionalSolution, cut_generation, solve_probing_space
 from .rounding import RoundingConfig, round_solution
@@ -399,12 +399,9 @@ def evaluate_spm(
         return PolicyValueReport(_exact_revenue(mechanism, spec), 0.0, 1, "exact")
     if mode != "monte_carlo":
         raise ConstraintError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ConstraintError("trials must be at least 1")
     cdfs = [np.cumsum(d) for d in spec.distributions]
-    values = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
+
+    def draw(rng: np.random.Generator) -> float:
         draws = rng.random(spec.n)
         sampled = [
             min(int(np.searchsorted(cdfs[i], draws[i], side="right")), spec.B)
@@ -418,8 +415,9 @@ def evaluate_spm(
             if sampled[agent] >= price:
                 checker.add(agent)
                 revenue += price
-        values[t] = revenue
-    return PolicyValueReport.from_samples(values)
+        return revenue
+
+    return monte_carlo(draw, trials, seed)
 
 
 def _exact_revenue(mechanism: SpmMechanism, spec: AuctionSpec) -> float:

@@ -29,7 +29,7 @@ from .auction import (
 )
 from .constraints import CapabilityError, ConstraintError
 from .crschemes import CrSchemeSpec, verify_scheme
-from .evaluate import THREE_SIGMA_RADII, optimal_adaptive, simulate
+from .evaluate import THREE_SIGMA_RADII, Policy, optimal_adaptive, simulate
 from .greedy import (
     build_dual_certificate,
     build_expected_certificate,
@@ -116,14 +116,20 @@ def _read_instance(args):
     return io.read_instance(args.instance, strict=args.strict)
 
 
+def _greedy_policy(instance, with_deadlines: bool) -> Policy:
+    """Realized value of one greedy run, with or without the deadline clock."""
+    run = run_greedy_deadline if with_deadlines else run_greedy
+    weights = instance.weights()
+    return lambda inst, rng: run(inst, rng).realized_value(weights)
+
+
 def _greedy(args, argv):
     instance = _read_instance(args)
     report = RunReport(argv, {"seed": args.seed, "trials": args.trials})
-    weights = instance.weights()
     try:
         report.add("greedy_value", exact_greedy_value(instance), "exact")
     except CapabilityError:
-        policy = lambda inst, rng: run_greedy(inst, rng).realized_value(weights)
+        policy = _greedy_policy(instance, with_deadlines=False)
         outcome = simulate(policy, instance, args.trials, args.seed)
         report.add("greedy_value", outcome.mean, _monte_carlo(args.trials))
         report.add("greedy_value_radius", outcome.radius, _monte_carlo(args.trials))
@@ -135,11 +141,10 @@ def _greedy_deadline(args, argv):
     if not instance.has_deadlines():
         raise ConstraintError("greedy-deadline needs an instance with deadlines")
     report = RunReport(argv, {"seed": args.seed, "trials": args.trials})
-    weights = instance.weights()
     try:
         report.add("greedy_deadline_value", exact_greedy_deadline_value(instance), "exact")
     except CapabilityError:
-        policy = lambda inst, rng: run_greedy_deadline(inst, rng).realized_value(weights)
+        policy = _greedy_policy(instance, with_deadlines=True)
         outcome = simulate(policy, instance, args.trials, args.seed)
         report.add("greedy_deadline_value", outcome.mean, _monte_carlo(args.trials))
         report.add(
@@ -202,13 +207,9 @@ def _round(args, argv):
 
 def _simulate(args, argv):
     instance = _read_instance(args)
-    weights = instance.weights()
-    if instance.has_deadlines():
-        policy = lambda inst, rng: run_greedy_deadline(inst, rng).realized_value(weights)
-        name = "greedy_deadline_value"
-    else:
-        policy = lambda inst, rng: run_greedy(inst, rng).realized_value(weights)
-        name = "greedy_value"
+    with_deadlines = instance.has_deadlines()
+    name = "greedy_deadline_value" if with_deadlines else "greedy_value"
+    policy = _greedy_policy(instance, with_deadlines)
     outcome = simulate(policy, instance, args.trials, args.seed)
     report = RunReport(argv, {"seed": args.seed, "trials": args.trials})
     report.add(name, outcome.mean, _monte_carlo(args.trials))

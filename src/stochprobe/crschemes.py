@@ -40,7 +40,7 @@ from .constraints import (
     ConstraintSystem,
     PartitionMatroid,
 )
-from .evaluate import Z99
+from .evaluate import binomial_radius, trial_rngs
 
 ORDER_POLICIES = ("by-index", "by-weight-desc", "random")
 KINDS = ("ordered_ksystem", "partition_random_choice")
@@ -70,16 +70,6 @@ class CrSchemeSpec:
                 )
             return 1.0 - k * self.b
         return (1.0 - math.exp(-self.b)) / self.b
-
-
-@dataclass(frozen=True)
-class ResolutionOutcome:
-    input_set: frozenset[int]
-    kept: frozenset[int]
-
-    def __post_init__(self):
-        if not self.kept <= self.input_set:
-            raise ConstraintError("kept elements must come from the input set")
 
 
 def resolve_ordered(
@@ -215,8 +205,7 @@ def verify_scheme(
     (their guarantee is vacuous). Deterministic given (seed, trials) and
     safe to partition across workers by trial index.
     """
-    if trials < 1:
-        raise ConstraintError("trials must be at least 1")
+    rngs = trial_rngs(seed, trials)
     z = np.asarray(z, dtype=float)
     witness = system.separate(z)
     if witness is not None:
@@ -227,8 +216,7 @@ def verify_scheme(
     inclusion = spec.b * z
     sampled = np.zeros(n, dtype=np.int64)
     kept_count = np.zeros(n, dtype=np.int64)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
+    for rng in rngs:
         mask = rng.random(n) < inclusion
         i_set = [int(e) for e in np.flatnonzero(mask)]
         kept = resolve(spec, system, i_set, rng, weights)
@@ -244,7 +232,7 @@ def verify_scheme(
             continue
         p_hat = kept_count[e] / sampled[e]
         estimates.append(float(p_hat))
-        radii.append(float(Z99 * math.sqrt(p_hat * (1.0 - p_hat) / sampled[e])))
+        radii.append(binomial_radius(p_hat, sampled[e]))
     return SchemeVerification(
         estimates=tuple(estimates),
         radii=tuple(radii),
@@ -282,13 +270,12 @@ def verify_monotonicity(
         kept2 = resolve_ordered(system, order, set2)
         return e in kept1 or e not in kept2
     hits1 = hits2 = 0
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
+    for rng in trial_rngs(seed, trials):
         order = scheme_order(spec, system, rng, weights)
         hits1 += e in resolve_ordered(system, order, set1)
         hits2 += e in resolve_ordered(system, order, set2)
     p1, p2 = hits1 / trials, hits2 / trials
-    radius = Z99 * math.sqrt(max(p1 * (1 - p1), p2 * (1 - p2)) / trials)
+    radius = max(binomial_radius(p1, trials), binomial_radius(p2, trials))
     return p1 >= p2 - 3.0 * radius
 
 

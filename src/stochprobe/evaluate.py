@@ -1,5 +1,8 @@
 """Policy evaluation: Monte Carlo, exact enumeration, adaptive optimum.
 
+Every Monte Carlo trial in the package takes its generator from trial_rngs,
+and every confidence radius comes from from_samples or binomial_radius.
+
 Policies are callables (instance, rng) -> realized value for one draw of the
 element activities. Exact evaluation is offered for permutation policies
 (probe in a fixed order whenever both systems permit), optionally with an
@@ -9,9 +12,10 @@ solutions and the bad-ordering baselines are shaped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,20 +56,35 @@ class PolicyValueReport:
         return cls(float(values.mean()), radius, trials, "monte_carlo")
 
 
-def simulate(
-    policy: Policy, instance: ProbingInstance, trials: int, seed: int
-) -> PolicyValueReport:
-    """Average realized value over independent runs; deterministic in (seed, trials).
+def binomial_radius(p_hat: float, n: int) -> float:
+    """99% normal confidence radius of a proportion p_hat seen over n draws."""
+    return Z99 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
-    Each trial gets its own generator derived from (seed, trial index), so
-    callers may split the trial range across workers without changing results.
+
+def trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """One generator per trial t < trials, seeded by the pair (seed, t).
+
+    Each trial's stream depends on (seed, trial index) alone, so callers may
+    split the trial range across workers without changing results.
     """
     if trials < 1:
         raise ConstraintError("trials must be at least 1")
-    values = np.empty(trials)
-    for t in range(trials):
-        values[t] = policy(instance, np.random.default_rng((seed, t)))
-    return PolicyValueReport.from_samples(values)
+    return (np.random.default_rng((seed, t)) for t in range(trials))
+
+
+def monte_carlo(
+    draw: Callable[[np.random.Generator], float], trials: int, seed: int
+) -> PolicyValueReport:
+    """Report over the values draw(rng) takes on the trial generators."""
+    values = (draw(rng) for rng in trial_rngs(seed, trials))
+    return PolicyValueReport.from_samples(np.fromiter(values, float, count=trials))
+
+
+def simulate(
+    policy: Policy, instance: ProbingInstance, trials: int, seed: int
+) -> PolicyValueReport:
+    """Average realized value over independent runs; deterministic in (seed, trials)."""
+    return monte_carlo(lambda rng: policy(instance, rng), trials, seed)
 
 
 def permutation_policy(

@@ -79,25 +79,7 @@ def _activity_fn(activity: Activity, probs: np.ndarray) -> Callable[[int], bool]
 
 def run_greedy(instance: ProbingInstance, activity: Activity) -> PathOutcome:
     """Scan greedy_order, probe e iff Q+e fits outer and S+e fits inner."""
-    probs = instance.probabilities()
-    draw = _activity_fn(activity, probs)
-    outer_check = instance.outer.checker()
-    inner_check = instance.inner.checker()
-    probed: list[int] = []
-    chosen: set[int] = set()
-    probability = 1.0
-    for e in greedy_order(instance):
-        if not (outer_check.can_add(e) and inner_check.can_add(e)):
-            continue
-        outer_check.add(e)
-        probed.append(e)
-        if draw(e):
-            probability *= float(probs[e])
-            inner_check.add(e)
-            chosen.add(e)
-        else:
-            probability *= float(1.0 - probs[e])
-    return PathOutcome(tuple(probed), frozenset(chosen), frozenset(), probability)
+    return _run(instance, activity, with_deadlines=False)
 
 
 def build_deadline_laminar(instance: ProbingInstance) -> LaminarMatroid:
@@ -120,11 +102,19 @@ def run_greedy_deadline(instance: ProbingInstance, activity: Activity) -> PathOu
     If the clock has passed d_e the element is only simulated: it joins the
     bookkeeping set, flips its coin into S, and the clock stays put.
     """
+    return _run(instance, activity, with_deadlines=True)
+
+
+def _run(
+    instance: ProbingInstance, activity: Activity, with_deadlines: bool
+) -> PathOutcome:
     probs = instance.probabilities()
-    deadlines = instance.deadlines()
     draw = _activity_fn(activity, probs)
     outer_check = instance.outer.checker()
-    chain_check = build_deadline_laminar(instance).checker()
+    chain_check = deadlines = None
+    if with_deadlines:
+        chain_check = build_deadline_laminar(instance).checker()
+        deadlines = instance.deadlines()
     inner_check = instance.inner.checker()
     probed: list[int] = []
     chosen: set[int] = set()
@@ -134,17 +124,18 @@ def run_greedy_deadline(instance: ProbingInstance, activity: Activity) -> PathOu
     for e in greedy_order(instance):
         if not (
             outer_check.can_add(e)
-            and chain_check.can_add(e)
+            and (chain_check is None or chain_check.can_add(e))
             and inner_check.can_add(e)
         ):
             continue
         outer_check.add(e)
-        chain_check.add(e)
+        if chain_check is not None:
+            chain_check.add(e)
         probed.append(e)
-        if clock <= deadlines[e]:
-            clock += 1
-        else:
+        if with_deadlines and clock > deadlines[e]:
             skipped.add(e)
+        else:
+            clock += 1
         if draw(e):
             probability *= float(probs[e])
             inner_check.add(e)

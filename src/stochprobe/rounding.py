@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraints import CapabilityError, ConstraintError, PartitionMatroid
 from .crschemes import CrSchemeSpec, resolve, resolve_ordered, scheme_order
-from .evaluate import PolicyValueReport
+from .evaluate import PolicyValueReport, monte_carlo
 from .greedy import Activity, _activity_fn
 from .instance import ProbingInstance
 from .lp import FractionalSolution, solve_probing_lp
@@ -135,8 +135,6 @@ def estimate_policy_value(
     solution: Optional[SolutionLike] = None,
 ) -> PolicyValueReport:
     """Mean w(S) over independent (sample, resolution, activity) draws."""
-    if trials < 1:
-        raise ConstraintError("trials must be at least 1")
     if solution is None:
         solution = solve_probing_lp(instance)
     y = _y_of(solution, instance.n)
@@ -148,13 +146,12 @@ def estimate_policy_value(
             f"solution outside the relaxation (violated on {sorted(witness.members)})"
         )
     weights = instance.weights()
-    values = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        policy = round_solution(instance, y, config, rng)
-        chosen = execute(policy, instance, rng)
-        values[t] = sum(weights[e] for e in chosen)
-    return PolicyValueReport.from_samples(values)
+
+    def draw(rng: np.random.Generator) -> float:
+        chosen = execute(round_solution(instance, y, config, rng), instance, rng)
+        return sum(weights[e] for e in chosen)
+
+    return monte_carlo(draw, trials, seed)
 
 
 def exact_chosen_marginals(

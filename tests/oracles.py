@@ -1,13 +1,51 @@
-"""Brute-force oracles used to pin expected values independently of the
-implementation under test. Everything here enumerates or scans scalar by
-scalar; nothing here shares code with the package's fast paths."""
+"""Reference implementations that the tests compare the package against.
+
+The brute-force oracles pin expected values independently of the
+implementation under test: they enumerate or scan scalar by scalar and share
+no code with the package's fast paths. The reference loops at the end are
+the package's former Monte Carlo loops and greedy scans; they reuse its
+per-trial helpers."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+
+from stochprobe.auction import (
+    EXACT_AGENT_LIMIT,
+    AuctionSpec,
+    SpmMechanism,
+    _exact_revenue,
+)
+from stochprobe.constraints import CapabilityError, ConstraintError, ConstraintSystem
+from stochprobe.crschemes import (
+    CrSchemeSpec,
+    SchemeVerification,
+    _partition_keep_chance,
+    resolve,
+    resolve_ordered,
+    scheme_order,
+)
+from stochprobe.evaluate import Z99, Policy, PolicyValueReport
+from stochprobe.greedy import (
+    Activity,
+    PathOutcome,
+    _activity_fn,
+    build_deadline_laminar,
+    greedy_order,
+)
+from stochprobe.instance import ProbingInstance
+from stochprobe.lp import solve_probing_lp
+from stochprobe.rounding import (
+    RoundingConfig,
+    SolutionLike,
+    _y_of,
+    execute,
+    round_solution,
+)
 
 
 def powerset(universe: Iterable[int]):
@@ -252,3 +290,261 @@ def bland_reference(c, a, b, max_iterations: int = 50_000):
         if var < n:
             x[var] = tab[i, -1]
     return x, float(tab[m, -1]), iterations
+
+
+# ---------------------------------------------------------------------------
+# per-trial Monte Carlo loops and greedy scans, as they stood before the
+# package routed them through evaluate.trial_rngs and evaluate.monte_carlo
+# and merged the two scans into greedy._run. Copied verbatim (only renamed)
+# so that every report can be checked for equality against them; they call
+# the package's per-trial helpers, which that change left alone.
+# ---------------------------------------------------------------------------
+
+
+def simulate_reference(
+    policy: Policy, instance: ProbingInstance, trials: int, seed: int
+) -> PolicyValueReport:
+    """Average realized value over independent runs; deterministic in (seed, trials).
+
+    Each trial gets its own generator derived from (seed, trial index), so
+    callers may split the trial range across workers without changing results.
+    """
+    if trials < 1:
+        raise ConstraintError("trials must be at least 1")
+    values = np.empty(trials)
+    for t in range(trials):
+        values[t] = policy(instance, np.random.default_rng((seed, t)))
+    return PolicyValueReport.from_samples(values)
+
+
+def estimate_policy_value_reference(
+    instance: ProbingInstance,
+    config: RoundingConfig,
+    trials: int,
+    seed: int,
+    solution: Optional[SolutionLike] = None,
+) -> PolicyValueReport:
+    """Mean w(S) over independent (sample, resolution, activity) draws."""
+    if trials < 1:
+        raise ConstraintError("trials must be at least 1")
+    if solution is None:
+        solution = solve_probing_lp(instance)
+    y = _y_of(solution, instance.n)
+    witness = instance.outer.separate(y)
+    if witness is None:
+        witness = instance.inner.separate(instance.probabilities() * y)
+    if witness is not None:
+        raise ConstraintError(
+            f"solution outside the relaxation (violated on {sorted(witness.members)})"
+        )
+    weights = instance.weights()
+    values = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        policy = round_solution(instance, y, config, rng)
+        chosen = execute(policy, instance, rng)
+        values[t] = sum(weights[e] for e in chosen)
+    return PolicyValueReport.from_samples(values)
+
+
+def verify_scheme_reference(
+    spec: CrSchemeSpec,
+    system: ConstraintSystem,
+    z: Sequence[float],
+    trials: int,
+    seed: int,
+    weights: Optional[Sequence[float]] = None,
+) -> SchemeVerification:
+    """Sample I ~ b*z, resolve, and estimate per-element conditional retention.
+
+    Elements never sampled across all trials report estimate 1 and radius 0
+    (their guarantee is vacuous). Deterministic given (seed, trials) and
+    safe to partition across workers by trial index.
+    """
+    if trials < 1:
+        raise ConstraintError("trials must be at least 1")
+    z = np.asarray(z, dtype=float)
+    witness = system.separate(z)
+    if witness is not None:
+        raise ConstraintError(
+            f"z lies outside the rank polytope (violated on {sorted(witness.members)})"
+        )
+    n = system.universe_size
+    inclusion = spec.b * z
+    sampled = np.zeros(n, dtype=np.int64)
+    kept_count = np.zeros(n, dtype=np.int64)
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        mask = rng.random(n) < inclusion
+        i_set = [int(e) for e in np.flatnonzero(mask)]
+        kept = resolve(spec, system, i_set, rng, weights)
+        sampled[mask] += 1
+        for e in kept:
+            kept_count[e] += 1
+    estimates = []
+    radii = []
+    for e in range(n):
+        if sampled[e] == 0:
+            estimates.append(1.0)
+            radii.append(0.0)
+            continue
+        p_hat = kept_count[e] / sampled[e]
+        estimates.append(float(p_hat))
+        radii.append(float(Z99 * math.sqrt(p_hat * (1.0 - p_hat) / sampled[e])))
+    return SchemeVerification(
+        estimates=tuple(estimates),
+        radii=tuple(radii),
+        included=tuple(int(v) for v in sampled),
+        trials=trials,
+        target_c=spec.target_c(system),
+    )
+
+
+def verify_monotonicity_reference(
+    spec: CrSchemeSpec,
+    system: ConstraintSystem,
+    i1: Iterable[int],
+    i2: Iterable[int],
+    e: int,
+    trials: int = 10_000,
+    seed: int = 0,
+    weights: Optional[Sequence[float]] = None,
+) -> bool:
+    """Check Pr[e kept from i1] >= Pr[e kept from i2] for e in i1, i1 within i2.
+
+    Exact for the random-choice scheme and for fixed scan orders; random scan
+    orders are compared by Monte Carlo with a one-sided 3-radius slack.
+    """
+    set1, set2 = frozenset(i1), frozenset(i2)
+    if e not in set1 or not set1 <= set2:
+        raise ConstraintError("need e in i1 and i1 contained in i2")
+    if spec.kind == "partition_random_choice":
+        p1 = _partition_keep_chance(system, set1, e)
+        p2 = _partition_keep_chance(system, set2, e)
+        return p1 >= p2
+    if spec.order_policy != "random":
+        order = scheme_order(spec, system, np.random.default_rng(seed), weights)
+        kept1 = resolve_ordered(system, order, set1)
+        kept2 = resolve_ordered(system, order, set2)
+        return e in kept1 or e not in kept2
+    hits1 = hits2 = 0
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        order = scheme_order(spec, system, rng, weights)
+        hits1 += e in resolve_ordered(system, order, set1)
+        hits2 += e in resolve_ordered(system, order, set2)
+    p1, p2 = hits1 / trials, hits2 / trials
+    radius = Z99 * math.sqrt(max(p1 * (1 - p1), p2 * (1 - p2)) / trials)
+    return p1 >= p2 - 3.0 * radius
+
+
+def evaluate_spm_reference(
+    mechanism: SpmMechanism,
+    spec: AuctionSpec,
+    mode: str = "exact",
+    trials: int = 10_000,
+    seed: int = 0,
+) -> PolicyValueReport:
+    """Expected revenue: offers accepted iff value clears the price and the
+    accepted set stays feasible; infeasible offers are never made.
+
+    Exact mode branches per offer; with one offer per agent the acceptance
+    events are independent Bernoullis, so this equals enumerating full
+    valuation vectors. Monte Carlo mode samples one valuation per agent per
+    trial, honoring any within-agent correlation exactly.
+    """
+    if mode == "exact":
+        if spec.n > EXACT_AGENT_LIMIT:
+            raise CapabilityError(
+                f"exact revenue evaluation capped at {EXACT_AGENT_LIMIT} agents"
+            )
+        return PolicyValueReport(_exact_revenue(mechanism, spec), 0.0, 1, "exact")
+    if mode != "monte_carlo":
+        raise ConstraintError(f"unknown mode {mode!r}")
+    if trials < 1:
+        raise ConstraintError("trials must be at least 1")
+    cdfs = [np.cumsum(d) for d in spec.distributions]
+    values = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        draws = rng.random(spec.n)
+        sampled = [
+            min(int(np.searchsorted(cdfs[i], draws[i], side="right")), spec.B)
+            for i in range(spec.n)
+        ]
+        checker = spec.feasibility.checker()
+        revenue = 0.0
+        for agent, price in mechanism.offers:
+            if not checker.can_add(agent):
+                continue
+            if sampled[agent] >= price:
+                checker.add(agent)
+                revenue += price
+        values[t] = revenue
+    return PolicyValueReport.from_samples(values)
+
+
+def run_greedy_reference(instance: ProbingInstance, activity: Activity) -> PathOutcome:
+    """Scan greedy_order, probe e iff Q+e fits outer and S+e fits inner."""
+    probs = instance.probabilities()
+    draw = _activity_fn(activity, probs)
+    outer_check = instance.outer.checker()
+    inner_check = instance.inner.checker()
+    probed: list[int] = []
+    chosen: set[int] = set()
+    probability = 1.0
+    for e in greedy_order(instance):
+        if not (outer_check.can_add(e) and inner_check.can_add(e)):
+            continue
+        outer_check.add(e)
+        probed.append(e)
+        if draw(e):
+            probability *= float(probs[e])
+            inner_check.add(e)
+            chosen.add(e)
+        else:
+            probability *= float(1.0 - probs[e])
+    return PathOutcome(tuple(probed), frozenset(chosen), frozenset(), probability)
+
+
+def run_greedy_deadline_reference(instance: ProbingInstance, activity: Activity) -> PathOutcome:
+    """Greedy scan with a probe clock; late elements go to the bookkeeping set.
+
+    e enters Q iff Q+e fits outer and the deadline chain and S+e fits inner.
+    If the clock has passed d_e the element is only simulated: it joins the
+    bookkeeping set, flips its coin into S, and the clock stays put.
+    """
+    probs = instance.probabilities()
+    deadlines = instance.deadlines()
+    draw = _activity_fn(activity, probs)
+    outer_check = instance.outer.checker()
+    chain_check = build_deadline_laminar(instance).checker()
+    inner_check = instance.inner.checker()
+    probed: list[int] = []
+    chosen: set[int] = set()
+    skipped: set[int] = set()
+    clock = 1
+    probability = 1.0
+    for e in greedy_order(instance):
+        if not (
+            outer_check.can_add(e)
+            and chain_check.can_add(e)
+            and inner_check.can_add(e)
+        ):
+            continue
+        outer_check.add(e)
+        chain_check.add(e)
+        probed.append(e)
+        if clock <= deadlines[e]:
+            clock += 1
+        else:
+            skipped.add(e)
+        if draw(e):
+            probability *= float(probs[e])
+            inner_check.add(e)
+            chosen.add(e)
+        else:
+            probability *= float(1.0 - probs[e])
+    return PathOutcome(
+        tuple(probed), frozenset(chosen), frozenset(skipped), probability
+    )

@@ -227,3 +227,11 @@ def test_monotonicity_random_order_monte_carlo():
     assert verify_monotonicity(
         spec, system, {0, 1}, {0, 1, 2, 3}, 0, trials=3000, seed=5
     )
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monotonicity_random_order_rejects_trial_counts_below_one(trials):
+    system = GraphicMatroid(4, vertex_count=3, edges=((0, 1), (1, 2), (0, 2), (0, 2)))
+    spec = CrSchemeSpec("ordered_ksystem", 0.2, order_policy="random")
+    with pytest.raises(ConstraintError, match="trials must be at least 1"):
+        verify_monotonicity(spec, system, {0, 1}, {0, 1, 2, 3}, 0, trials=trials)

@@ -10,7 +10,8 @@ from stochprobe.constraints import (
     PartitionMatroid,
     UniformMatroid,
 )
-from stochprobe.crschemes import CrSchemeSpec, Z99
+from stochprobe.crschemes import CrSchemeSpec
+from stochprobe.evaluate import Z99
 from stochprobe.fixtures import random_instance, random_matroid
 from stochprobe.instance import make_instance
 from stochprobe.lp import solve_probing_lp
