@@ -52,16 +52,14 @@ from .fixtures import (
     tightness_instance,
 )
 from .greedy import (
-    build_dual_certificate,
-    build_expected_certificate,
+    audit_certificates,
     enumerate_greedy_deadline_paths,
-    enumerate_greedy_paths,
     exact_greedy_deadline_value,
     exact_greedy_value,
     run_greedy,
 )
 from .instance import ProbingInstance
-from .lp import check_claim_lp_opt, check_dual, solve_probing_lp
+from .lp import check_claim_lp_opt, solve_probing_lp
 from .rounding import default_config, estimate_policy_value, exact_chosen_marginals
 
 RATIO_COUNT = 200
@@ -150,22 +148,11 @@ def check_dual_certificates(suite: Sequence[RatioCase]) -> tuple[bool, str]:
     worst_mix = np.inf
     ok = True
     for case in suite:
-        probs = case.instance.probabilities()
-        for path in enumerate_greedy_paths(case.instance):
-            paths += 1
-            certificate = build_dual_certificate(case.instance, path)
-            verdict = check_dual(certificate, case.instance)
-            cap = case.k_in * len(path.chosen)
-            cap += case.k_out * float(sum(probs[e] for e in path.probed))
-            worst_path = min(worst_path, cap - verdict.value)
-            if not verdict.feasible or verdict.value > cap + 1e-9:
-                ok = False
-        mixed, expected = build_expected_certificate(case.instance)
-        verdict = check_dual(mixed, case.instance)
-        cap = (case.k_in + case.k_out) * expected
-        worst_mix = min(worst_mix, cap - verdict.value)
-        if not verdict.feasible or verdict.value > cap + 1e-6:
-            ok = False
+        audit = audit_certificates(case.instance)
+        paths += len(audit.paths)
+        worst_path = min(worst_path, audit.worst_path_slack)
+        worst_mix = min(worst_mix, audit.mixture_cap - audit.mixture_check.value)
+        ok = ok and audit.holds
     details = (
         f"{paths} paths, worst path slack {worst_path:.2e}, "
         f"worst mixture slack {worst_mix:.2e}"
@@ -247,7 +234,7 @@ def check_scheme_retention(seed: int = 0) -> tuple[bool, str]:
                 for est, rad in zip(verification.estimates, verification.radii)
             )
             notes.append(f"k={k} b={b:.3f} min c {low:.3f}/{1 - k * b:.3f}")
-            if not verification.satisfied(slack_radii=THREE_SIGMA_RADII):
+            if not verification.satisfied():
                 ok = False
     partition = PartitionMatroid(
         6, parts=((0, 1, 2), (3, 4), (5,)), capacities=(1, 1, 1)
@@ -255,7 +242,7 @@ def check_scheme_retention(seed: int = 0) -> tuple[bool, str]:
     z = (0.3, 0.3, 0.4, 0.5, 0.5, 1.0)
     spec = CrSchemeSpec("partition_random_choice", 0.25)
     verification = verify_scheme(spec, partition, z, SCHEME_TRIALS, seed)
-    if not verification.satisfied(slack_radii=THREE_SIGMA_RADII):
+    if not verification.satisfied():
         ok = False
     target = spec.target_c(partition)
     worst_exact = np.inf

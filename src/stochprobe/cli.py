@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,24 +29,21 @@ from .auction import (
     solve_lp_p,
 )
 from .constraints import CapabilityError, ConstraintError
-from .crschemes import CrSchemeSpec, verify_scheme
+from .crschemes import KINDS, CrSchemeSpec, verify_scheme
 from .evaluate import THREE_SIGMA_RADII, Policy, optimal_adaptive, simulate
 from .greedy import (
-    build_dual_certificate,
-    build_expected_certificate,
-    enumerate_greedy_paths,
+    audit_certificates,
     exact_greedy_deadline_value,
     exact_greedy_value,
     run_greedy,
     run_greedy_deadline,
 )
 from .io import ParseError
-from .lp import LpEngineError, check_dual, solve_probing_lp
+from .lp import LpEngineError, solve_probing_lp
 from .rounding import RoundingConfig, default_config, estimate_policy_value
 
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 10_000
-SCHEME_CHOICES = ("ordered_ksystem", "partition_random_choice")
 
 
 @dataclass
@@ -123,33 +121,21 @@ def _greedy_policy(instance, with_deadlines: bool) -> Policy:
     return lambda inst, rng: run(inst, rng).realized_value(weights)
 
 
-def _greedy(args, argv):
+def _greedy(args, argv, with_deadlines: bool):
+    """Exact value by path enumeration; Monte Carlo above the enumeration cap."""
     instance = _read_instance(args)
-    report = RunReport(argv, {"seed": args.seed, "trials": args.trials})
-    try:
-        report.add("greedy_value", exact_greedy_value(instance), "exact")
-    except CapabilityError:
-        policy = _greedy_policy(instance, with_deadlines=False)
-        outcome = simulate(policy, instance, args.trials, args.seed)
-        report.add("greedy_value", outcome.mean, _monte_carlo(args.trials))
-        report.add("greedy_value_radius", outcome.radius, _monte_carlo(args.trials))
-    return report, 0
-
-
-def _greedy_deadline(args, argv):
-    instance = _read_instance(args)
-    if not instance.has_deadlines():
+    if with_deadlines and not instance.has_deadlines():
         raise ConstraintError("greedy-deadline needs an instance with deadlines")
+    name = "greedy_deadline_value" if with_deadlines else "greedy_value"
+    exact = exact_greedy_deadline_value if with_deadlines else exact_greedy_value
     report = RunReport(argv, {"seed": args.seed, "trials": args.trials})
     try:
-        report.add("greedy_deadline_value", exact_greedy_deadline_value(instance), "exact")
+        report.add(name, exact(instance), "exact")
     except CapabilityError:
-        policy = _greedy_policy(instance, with_deadlines=True)
+        policy = _greedy_policy(instance, with_deadlines)
         outcome = simulate(policy, instance, args.trials, args.seed)
-        report.add("greedy_deadline_value", outcome.mean, _monte_carlo(args.trials))
-        report.add(
-            "greedy_deadline_value_radius", outcome.radius, _monte_carlo(args.trials)
-        )
+        report.add(name, outcome.mean, _monte_carlo(args.trials))
+        report.add(name + "_radius", outcome.radius, _monte_carlo(args.trials))
     return report, 0
 
 
@@ -176,15 +162,8 @@ def _config_of(args, instance) -> RoundingConfig:
     return RoundingConfig(b=b, outer_scheme=outer, inner_scheme=inner, seed=args.seed)
 
 
-def _round(args, argv):
-    instance = _read_instance(args)
-    config = _config_of(args, instance)
-    solution = solve_probing_lp(instance)
-    factor = config.guarantee(instance)
-    outcome = estimate_policy_value(
-        instance, config, args.trials, args.seed, solution=solution
-    )
-    report = RunReport(
+def _scheme_report(args, argv, config: RoundingConfig) -> RunReport:
+    return RunReport(
         argv,
         {
             "seed": args.seed,
@@ -194,6 +173,17 @@ def _round(args, argv):
             "inner_scheme": config.inner_scheme.kind,
         },
     )
+
+
+def _round(args, argv):
+    instance = _read_instance(args)
+    config = _config_of(args, instance)
+    solution = solve_probing_lp(instance)
+    factor = config.guarantee(instance)
+    outcome = estimate_policy_value(
+        instance, config, args.trials, args.seed, solution=solution
+    )
+    report = _scheme_report(args, argv, config)
     report.add("lp_objective", solution.objective, "exact")
     report.add("guarantee_factor", factor, "exact")
     report.add("guaranteed_value", factor * solution.objective, "exact")
@@ -226,47 +216,23 @@ def _oracle(args, argv):
 
 def _certify(args, argv):
     instance = _read_instance(args)
-    probs = instance.probabilities()
-    k_in = instance.inner.k_parameter()
-    k_out = instance.outer.k_parameter()
-    rows = []
-    all_feasible = True
-    worst = np.inf
-    count = 0
-    for path in enumerate_greedy_paths(instance):
-        count += 1
-        certificate = build_dual_certificate(instance, path)
-        verdict = check_dual(certificate, instance)
-        cap = k_in * len(path.chosen)
-        cap += k_out * float(sum(probs[e] for e in path.probed))
-        worst = min(worst, cap - verdict.value)
-        feasible = verdict.feasible and verdict.value <= cap + 1e-9
-        all_feasible = all_feasible and feasible
-        rows.append(
-            {
-                "path": count - 1,
-                "probability": path.probability,
-                "value": verdict.value,
-                "cap": cap,
-                "feasible": feasible,
-            }
-        )
-    mixture, expected = build_expected_certificate(instance)
-    mixture_check = check_dual(mixture, instance)
-    mixture_cap = (k_in + k_out) * expected
-    report = RunReport(argv, {"seed": args.seed, "k_in": k_in, "k_out": k_out})
-    report.add("path_count", count, "exact")
-    report.add("worst_path_slack", float(worst), "exact")
-    report.add("expected_value", expected, "exact")
-    report.add("mixture_value", mixture_check.value, "exact")
-    report.add("mixture_cap", mixture_cap, "exact")
-    report.flags["per_path_feasible"] = bool(all_feasible)
-    report.flags["mixture_feasible"] = bool(mixture_check.feasible)
-    report.flags["mixture_bounded"] = bool(
-        mixture_check.value <= mixture_cap + 1e-6
+    audit = audit_certificates(instance)
+    count = len(audit.paths)
+    report = RunReport(
+        argv, {"seed": args.seed, "k_in": audit.k_in, "k_out": audit.k_out}
     )
+    report.add("path_count", count, "exact")
+    report.add("worst_path_slack", float(audit.worst_path_slack), "exact")
+    report.add("expected_value", audit.expected, "exact")
+    report.add("mixture_value", audit.mixture_check.value, "exact")
+    report.add("mixture_cap", audit.mixture_cap, "exact")
+    report.flags["per_path_feasible"] = audit.per_path_feasible
+    report.flags["mixture_feasible"] = bool(audit.mixture_check.feasible)
+    report.flags["mixture_bounded"] = audit.mixture_bounded
     if count <= 256:
-        report.tables["paths"] = rows
+        report.tables["paths"] = [
+            {"path": index, **asdict(row)} for index, row in enumerate(audit.paths)
+        ]
     else:
         report.flags["paths_truncated"] = True
     return report, 0
@@ -276,16 +242,7 @@ def _verify_cr(args, argv):
     instance = _read_instance(args)
     config = _config_of(args, instance)
     solution = solve_probing_lp(instance)
-    report = RunReport(
-        argv,
-        {
-            "seed": args.seed,
-            "trials": args.trials,
-            "b": config.b,
-            "outer_scheme": config.outer_scheme.kind,
-            "inner_scheme": config.inner_scheme.kind,
-        },
-    )
+    report = _scheme_report(args, argv, config)
     sides = (
         ("outer", config.outer_scheme, instance.outer, np.asarray(solution.y)),
         ("inner", config.inner_scheme, instance.inner, np.asarray(solution.x)),
@@ -301,9 +258,7 @@ def _verify_cr(args, argv):
             float(min(verification.estimates)),
             _monte_carlo(args.trials),
         )
-        report.flags[f"{label}_satisfied"] = verification.satisfied(
-            slack_radii=THREE_SIGMA_RADII
-        )
+        report.flags[f"{label}_satisfied"] = verification.satisfied()
     return report, 0
 
 
@@ -382,8 +337,8 @@ def _add_common(sub, *, trials=False, schemes=False, best_of=False, seed_require
         sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     if schemes:
         sub.add_argument("--b", type=float, default=None)
-        sub.add_argument("--inner-scheme", choices=SCHEME_CHOICES, default=None)
-        sub.add_argument("--outer-scheme", choices=SCHEME_CHOICES, default=None)
+        sub.add_argument("--inner-scheme", choices=KINDS, default=None)
+        sub.add_argument("--outer-scheme", choices=KINDS, default=None)
     if best_of:
         sub.add_argument("--best-of", type=int, default=20, dest="best_of")
     sub.add_argument("--strict", action="store_true",
@@ -399,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     handlers = {
-        "greedy": (_greedy, {"trials": True}),
-        "greedy-deadline": (_greedy_deadline, {"trials": True}),
+        "greedy": (partial(_greedy, with_deadlines=False), {"trials": True}),
+        "greedy-deadline": (partial(_greedy, with_deadlines=True), {"trials": True}),
         "lp": (_lp, {}),
         "round": (_round, {"trials": True, "schemes": True}),
         "simulate": (_simulate, {"trials": True}),

@@ -40,7 +40,7 @@ from .constraints import (
     ConstraintSystem,
     PartitionMatroid,
 )
-from .evaluate import binomial_radius, trial_rngs
+from .evaluate import THREE_SIGMA_RADII, binomial_radius, trial_rngs
 
 ORDER_POLICIES = ("by-index", "by-weight-desc", "random")
 KINDS = ("ordered_ksystem", "partition_random_choice")
@@ -86,16 +86,26 @@ def resolve_ordered(
     return frozenset(kept)
 
 
-def resolve_partition(
-    system: ConstraintSystem, i: Iterable[int], rng: np.random.Generator
-) -> frozenset[int]:
-    """Keep one uniformly random sampled member per part (capacities all 1)."""
+def unit_partition(system: ConstraintSystem) -> PartitionMatroid:
+    """The system, checked to be a partition matroid with all capacities 1.
+
+    The random-choice scheme's precondition, shared by resolution, its
+    monotonicity check and the exact marginals.
+    """
     if not isinstance(system, PartitionMatroid):
         raise CapabilityError("random-choice resolution needs a partition matroid")
     if any(c != 1 for c in system.capacities):
         raise CapabilityError(
             "random-choice resolution needs all capacities 1; use the ordered scheme"
         )
+    return system
+
+
+def resolve_partition(
+    system: ConstraintSystem, i: Iterable[int], rng: np.random.Generator
+) -> frozenset[int]:
+    """Keep one uniformly random sampled member per part (capacities all 1)."""
+    system = unit_partition(system)
     members = set(i)
     kept = set(members)
     for part in system.parts:
@@ -184,9 +194,10 @@ class SchemeVerification:
     trials: int
     target_c: float
 
-    def satisfied(self, slack_radii: float = 3.0) -> bool:
+    def satisfied(self) -> bool:
+        """Every estimate at least target_c less a 3-sigma slack."""
         return all(
-            est >= self.target_c - slack_radii * rad
+            est >= self.target_c - THREE_SIGMA_RADII * rad
             for est, rad in zip(self.estimates, self.radii)
         )
 
@@ -255,7 +266,7 @@ def verify_monotonicity(
     """Check Pr[e kept from i1] >= Pr[e kept from i2] for e in i1, i1 within i2.
 
     Exact for the random-choice scheme and for fixed scan orders; random scan
-    orders are compared by Monte Carlo with a one-sided 3-radius slack.
+    orders are compared by Monte Carlo with a one-sided 3-sigma slack.
     """
     set1, set2 = frozenset(i1), frozenset(i2)
     if e not in set1 or not set1 <= set2:
@@ -276,13 +287,11 @@ def verify_monotonicity(
         hits2 += e in resolve_ordered(system, order, set2)
     p1, p2 = hits1 / trials, hits2 / trials
     radius = max(binomial_radius(p1, trials), binomial_radius(p2, trials))
-    return p1 >= p2 - 3.0 * radius
+    return p1 >= p2 - THREE_SIGMA_RADII * radius
 
 
 def _partition_keep_chance(system: ConstraintSystem, members: frozenset[int], e: int) -> float:
-    if not isinstance(system, PartitionMatroid):
-        raise CapabilityError("random-choice resolution needs a partition matroid")
-    for part in system.parts:
+    for part in unit_partition(system).parts:
         if e in part:
             return 1.0 / len(members.intersection(part))
     return 1.0

@@ -5,6 +5,10 @@ whatever still fits both systems. A run yields a PathOutcome, and a path can
 be replayed into a dual certificate for the unweighted relaxation whose
 value is at most k_in*|S| + k_out*sum(p over probes) for that path.
 
+There is one scan (_scan). Simulation feeds it coin flips; exact path
+enumeration replays it once per path on recorded flips, and
+audit_certificates checks every path's certificate in one pass.
+
 The deadline variant relaxes per-element deadlines into a laminar chain (at
 most t probes among elements with deadline <= t) and keeps a bookkeeping set
 B of elements reached after their deadline. B-elements still consume laminar
@@ -25,9 +29,12 @@ import numpy as np
 
 from .constraints import CapabilityError, ConstraintError, LaminarMatroid
 from .instance import ProbingInstance
-from .lp import DualCertificate
+from .lp import DualCertificate, DualCheck, check_dual
 
 PATH_ENUMERATION_LIMIT = 15
+# certificate value may exceed its cap by this much: per path, for the mix
+PATH_CAP_TOL = 1e-9
+MIXTURE_CAP_TOL = 1e-6
 
 Activity = Union[Sequence[bool], np.random.Generator]
 
@@ -110,111 +117,112 @@ def _run(
 ) -> PathOutcome:
     probs = instance.probabilities()
     draw = _activity_fn(activity, probs)
-    outer_check = instance.outer.checker()
-    chain_check = deadlines = None
-    if with_deadlines:
-        chain_check = build_deadline_laminar(instance).checker()
-        deadlines = instance.deadlines()
-    inner_check = instance.inner.checker()
-    probed: list[int] = []
-    chosen: set[int] = set()
-    skipped: set[int] = set()
-    clock = 1
-    probability = 1.0
-    for e in greedy_order(instance):
-        if not (
-            outer_check.can_add(e)
-            and (chain_check is None or chain_check.can_add(e))
-            and inner_check.can_add(e)
-        ):
-            continue
-        outer_check.add(e)
-        if chain_check is not None:
-            chain_check.add(e)
-        probed.append(e)
-        if with_deadlines and clock > deadlines[e]:
-            skipped.add(e)
-        else:
-            clock += 1
-        if draw(e):
-            probability *= float(probs[e])
-            inner_check.add(e)
-            chosen.add(e)
-        else:
-            probability *= float(1.0 - probs[e])
-    return PathOutcome(
-        tuple(probed), frozenset(chosen), frozenset(skipped), probability
-    )
+    return _scan(instance, probs, with_deadlines)(draw)
 
 
-def _enumerate(instance: ProbingInstance, with_deadlines: bool) -> Iterator[PathOutcome]:
+def _scan(
+    instance: ProbingInstance, probs: np.ndarray, with_deadlines: bool
+) -> Callable[[Callable[[int], bool]], PathOutcome]:
+    """The greedy scan over its per-instance set-up; each call is one run.
+
+    A run probes e iff Q+e fits outer (and the deadline chain) and S+e fits
+    inner, then asks draw(e) for e's coin. A late element joins the
+    bookkeeping set and leaves the clock where it was.
+    """
+    chain = build_deadline_laminar(instance) if with_deadlines else None
+    deadlines = instance.deadlines() if with_deadlines else None
+    order = greedy_order(instance)
+
+    def run(draw: Callable[[int], bool]) -> PathOutcome:
+        outer_check = instance.outer.checker()
+        chain_check = None if chain is None else chain.checker()
+        inner_check = instance.inner.checker()
+        probed: list[int] = []
+        chosen: set[int] = set()
+        skipped: set[int] = set()
+        clock = 1
+        probability = 1.0
+        for e in order:
+            if not (
+                outer_check.can_add(e)
+                and (chain_check is None or chain_check.can_add(e))
+                and inner_check.can_add(e)
+            ):
+                continue
+            outer_check.add(e)
+            if chain_check is not None:
+                chain_check.add(e)
+            probed.append(e)
+            if deadlines is not None and clock > deadlines[e]:
+                skipped.add(e)
+            else:
+                clock += 1
+            if draw(e):
+                probability *= float(probs[e])
+                inner_check.add(e)
+                chosen.add(e)
+            else:
+                probability *= float(1.0 - probs[e])
+        return PathOutcome(
+            tuple(probed), frozenset(chosen), frozenset(skipped), probability
+        )
+
+    return run
+
+
+def _replay_paths(instance: ProbingInstance, with_deadlines: bool) -> Iterator[PathOutcome]:
+    """Every positive-probability run of the scan, depth first, active first.
+
+    Each path replays the scan on a recorded prefix of coin outcomes. Past
+    the prefix a probed element comes up active when p > 0 and leaves an
+    inactive fork when 0 < p < 1. The deepest fork is replayed next, which
+    is the order a recursion over (active, inactive) would yield.
+    """
     if instance.n > PATH_ENUMERATION_LIMIT:
         raise CapabilityError(
             f"exact path enumeration capped at {PATH_ENUMERATION_LIMIT} elements"
         )
-    order = greedy_order(instance)
     probs = instance.probabilities()
-    inner = instance.inner
-    outer = instance.outer
-    chain = build_deadline_laminar(instance) if with_deadlines else None
-    deadlines = instance.deadlines() if with_deadlines else None
+    run = _scan(instance, probs, with_deadlines)
+    forks: list[tuple[bool, ...]] = [()]
+    while forks:
+        prefix = forks.pop()
+        flips: list[bool] = []
 
-    def rec(i, probed, chosen, skipped, clock, probability):
-        if i == len(order):
-            yield PathOutcome(probed, frozenset(chosen), frozenset(skipped), probability)
-            return
-        e = order[i]
-        q_next = set(probed) | {e}
-        feasible = (
-            outer.is_independent(q_next)
-            and inner.is_independent(chosen | {e})
-            and (chain is None or chain.is_independent(q_next))
-        )
-        if not feasible:
-            yield from rec(i + 1, probed, chosen, skipped, clock, probability)
-            return
-        late = with_deadlines and clock > deadlines[e]
-        clock_next = clock if (late or not with_deadlines) else clock + 1
-        skipped_next = skipped | {e} if late else skipped
-        p = float(probs[e])
-        if p > 0.0:
-            yield from rec(
-                i + 1, probed + (e,), chosen | {e}, skipped_next, clock_next,
-                probability * p,
-            )
-        if p < 1.0:
-            yield from rec(
-                i + 1, probed + (e,), chosen, skipped_next, clock_next,
-                probability * (1.0 - p),
-            )
+        def draw(e: int) -> bool:
+            if len(flips) < len(prefix):
+                flip = prefix[len(flips)]
+            else:
+                if 0.0 < probs[e] < 1.0:
+                    forks.append(tuple(flips) + (False,))
+                flip = bool(probs[e] > 0.0)
+            flips.append(flip)
+            return flip
 
-    yield from rec(0, (), set(), set(), 1, 1.0)
+        yield run(draw)
 
 
 def enumerate_greedy_paths(instance: ProbingInstance) -> Iterator[PathOutcome]:
     """All positive-probability runs of run_greedy, probabilities summing to 1."""
-    return _enumerate(instance, with_deadlines=False)
+    return _replay_paths(instance, with_deadlines=False)
 
 
 def enumerate_greedy_deadline_paths(instance: ProbingInstance) -> Iterator[PathOutcome]:
-    return _enumerate(instance, with_deadlines=True)
+    return _replay_paths(instance, with_deadlines=True)
 
 
 def exact_greedy_value(instance: ProbingInstance) -> float:
-    weights = instance.weights()
-    return sum(
-        path.probability * path.realized_value(weights)
-        for path in enumerate_greedy_paths(instance)
-    )
+    return _expected_value(instance, enumerate_greedy_paths(instance))
 
 
 def exact_greedy_deadline_value(instance: ProbingInstance) -> float:
     """Expected realized value of the deadline policy (bookkeeping excluded)."""
+    return _expected_value(instance, enumerate_greedy_deadline_paths(instance))
+
+
+def _expected_value(instance: ProbingInstance, paths: Iterator[PathOutcome]) -> float:
     weights = instance.weights()
-    return sum(
-        path.probability * path.realized_value(weights)
-        for path in enumerate_greedy_deadline_paths(instance)
-    )
+    return sum(path.probability * path.realized_value(weights) for path in paths)
 
 
 def build_dual_certificate(
@@ -256,15 +264,79 @@ def build_expected_certificate(
     The mix stays dual-feasible, so its value upper-bounds the LP optimum
     while being at most (k_in + k_out) times the policy's expected value.
     """
+    audit = audit_certificates(instance)
+    return audit.mixture, audit.expected
+
+
+@dataclass(frozen=True)
+class PathAudit:
+    """One path's certificate value against its cap k_in*|S| + k_out*p(probed)."""
+
+    probability: float
+    value: float
+    cap: float
+    feasible: bool
+
+
+@dataclass(frozen=True)
+class CertificateAudit:
+    """Per-path certificates, their probability-weighted mix and the value."""
+
+    k_in: int
+    k_out: int
+    paths: tuple[PathAudit, ...]
+    expected: float
+    mixture: DualCertificate
+    mixture_check: DualCheck
+
+    @property
+    def worst_path_slack(self) -> float:
+        return min((row.cap - row.value for row in self.paths), default=np.inf)
+
+    @property
+    def per_path_feasible(self) -> bool:
+        return all(row.feasible for row in self.paths)
+
+    @property
+    def mixture_cap(self) -> float:
+        return (self.k_in + self.k_out) * self.expected
+
+    @property
+    def mixture_bounded(self) -> bool:
+        return self.mixture_check.value <= self.mixture_cap + MIXTURE_CAP_TOL
+
+    @property
+    def holds(self) -> bool:
+        return self.per_path_feasible and self.mixture_check.feasible and self.mixture_bounded
+
+
+def audit_certificates(instance: ProbingInstance) -> CertificateAudit:
+    """Check every greedy path's dual certificate in one pass over the paths.
+
+    Alongside, mixes the certificates by path probability (in path order)
+    and sums the policy's expected realized value.
+    """
+    probs = instance.probabilities()
+    weights = instance.weights()
+    k_in = instance.inner.k_parameter()
+    k_out = instance.outer.k_parameter()
+    rows = []
     alpha: dict[frozenset[int], float] = {}
     beta: dict[frozenset[int], float] = {}
     expected = 0.0
-    weights = instance.weights()
     for path in enumerate_greedy_paths(instance):
         certificate = build_dual_certificate(instance, path)
+        verdict = check_dual(certificate, instance)
+        cap = k_in * len(path.chosen)
+        cap += k_out * float(sum(probs[e] for e in path.probed))
+        feasible = verdict.feasible and verdict.value <= cap + PATH_CAP_TOL
+        rows.append(PathAudit(path.probability, verdict.value, cap, feasible))
         for members, a in certificate.alpha:
             alpha[members] = alpha.get(members, 0.0) + path.probability * a
         for members, b in certificate.beta:
             beta[members] = beta.get(members, 0.0) + path.probability * b
         expected += path.probability * path.realized_value(weights)
-    return DualCertificate.build(instance, alpha, beta), expected
+    mixture = DualCertificate.build(instance, alpha, beta)
+    return CertificateAudit(
+        k_in, k_out, tuple(rows), expected, mixture, check_dual(mixture, instance)
+    )

@@ -15,8 +15,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .constraints import CapabilityError, ConstraintError, PartitionMatroid
-from .crschemes import CrSchemeSpec, resolve, resolve_ordered, scheme_order
+from .constraints import CapabilityError, ConstraintError
+from .crschemes import (
+    CrSchemeSpec,
+    resolve,
+    resolve_ordered,
+    scheme_order,
+    unit_partition,
+)
 from .evaluate import PolicyValueReport, monte_carlo
 from .greedy import Activity, _activity_fn
 from .instance import ProbingInstance
@@ -188,11 +194,7 @@ def exact_chosen_marginals(
             order = scheme_order(config.outer_scheme, instance.outer, rng, weights)
             yield resolve_ordered(instance.outer, order, sampled), 1.0
             return
-        system = instance.outer
-        if not isinstance(system, PartitionMatroid):
-            raise CapabilityError("random-choice resolution needs a partition matroid")
-        if any(c != 1 for c in system.capacities):
-            raise CapabilityError("random-choice resolution needs all capacities 1")
+        system = unit_partition(instance.outer)
         members = set(sampled)
         groups = []
         for part in system.parts:

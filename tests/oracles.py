@@ -3,14 +3,15 @@
 The brute-force oracles pin expected values independently of the
 implementation under test: they enumerate or scan scalar by scalar and share
 no code with the package's fast paths. The reference loops at the end are
-the package's former Monte Carlo loops and greedy scans; they reuse its
-per-trial helpers."""
+the package's former Monte Carlo loops, greedy scans, recursive path
+enumeration and certificate audits; they reuse its per-trial helpers and
+per-path certificate builder."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,14 +32,16 @@ from stochprobe.crschemes import (
 )
 from stochprobe.evaluate import Z99, Policy, PolicyValueReport
 from stochprobe.greedy import (
+    PATH_ENUMERATION_LIMIT,
     Activity,
     PathOutcome,
     _activity_fn,
     build_deadline_laminar,
+    build_dual_certificate,
     greedy_order,
 )
 from stochprobe.instance import ProbingInstance
-from stochprobe.lp import solve_probing_lp
+from stochprobe.lp import DualCertificate, check_dual, solve_probing_lp
 from stochprobe.rounding import (
     RoundingConfig,
     SolutionLike,
@@ -548,3 +551,141 @@ def run_greedy_deadline_reference(instance: ProbingInstance, activity: Activity)
     return PathOutcome(
         tuple(probed), frozenset(chosen), frozenset(skipped), probability
     )
+
+
+def enumerate_paths_reference(
+    instance: ProbingInstance, with_deadlines: bool
+) -> Iterator[PathOutcome]:
+    """The former recursive path enumeration, on set-level independence tests."""
+    if instance.n > PATH_ENUMERATION_LIMIT:
+        raise CapabilityError(
+            f"exact path enumeration capped at {PATH_ENUMERATION_LIMIT} elements"
+        )
+    order = greedy_order(instance)
+    probs = instance.probabilities()
+    inner = instance.inner
+    outer = instance.outer
+    chain = build_deadline_laminar(instance) if with_deadlines else None
+    deadlines = instance.deadlines() if with_deadlines else None
+
+    def rec(i, probed, chosen, skipped, clock, probability):
+        if i == len(order):
+            yield PathOutcome(probed, frozenset(chosen), frozenset(skipped), probability)
+            return
+        e = order[i]
+        q_next = set(probed) | {e}
+        feasible = (
+            outer.is_independent(q_next)
+            and inner.is_independent(chosen | {e})
+            and (chain is None or chain.is_independent(q_next))
+        )
+        if not feasible:
+            yield from rec(i + 1, probed, chosen, skipped, clock, probability)
+            return
+        late = with_deadlines and clock > deadlines[e]
+        clock_next = clock if (late or not with_deadlines) else clock + 1
+        skipped_next = skipped | {e} if late else skipped
+        p = float(probs[e])
+        if p > 0.0:
+            yield from rec(
+                i + 1, probed + (e,), chosen | {e}, skipped_next, clock_next,
+                probability * p,
+            )
+        if p < 1.0:
+            yield from rec(
+                i + 1, probed + (e,), chosen, skipped_next, clock_next,
+                probability * (1.0 - p),
+            )
+
+    yield from rec(0, (), set(), set(), 1, 1.0)
+
+
+def build_expected_certificate_reference(
+    instance: ProbingInstance,
+) -> tuple[DualCertificate, float]:
+    """The former probability-weighted mix of per-path certificates."""
+    alpha: dict[frozenset[int], float] = {}
+    beta: dict[frozenset[int], float] = {}
+    expected = 0.0
+    weights = instance.weights()
+    for path in enumerate_paths_reference(instance, with_deadlines=False):
+        certificate = build_dual_certificate(instance, path)
+        for members, a in certificate.alpha:
+            alpha[members] = alpha.get(members, 0.0) + path.probability * a
+        for members, b in certificate.beta:
+            beta[members] = beta.get(members, 0.0) + path.probability * b
+        expected += path.probability * path.realized_value(weights)
+    return DualCertificate.build(instance, alpha, beta), expected
+
+
+def certify_reference(instance: ProbingInstance) -> dict:
+    """The former `stochprobe certify` computation, before rendering."""
+    probs = instance.probabilities()
+    k_in = instance.inner.k_parameter()
+    k_out = instance.outer.k_parameter()
+    rows = []
+    all_feasible = True
+    worst = np.inf
+    count = 0
+    for path in enumerate_paths_reference(instance, with_deadlines=False):
+        count += 1
+        certificate = build_dual_certificate(instance, path)
+        verdict = check_dual(certificate, instance)
+        cap = k_in * len(path.chosen)
+        cap += k_out * float(sum(probs[e] for e in path.probed))
+        worst = min(worst, cap - verdict.value)
+        feasible = verdict.feasible and verdict.value <= cap + 1e-9
+        all_feasible = all_feasible and feasible
+        rows.append(
+            {
+                "path": count - 1,
+                "probability": path.probability,
+                "value": verdict.value,
+                "cap": cap,
+                "feasible": feasible,
+            }
+        )
+    mixture, expected = build_expected_certificate_reference(instance)
+    mixture_check = check_dual(mixture, instance)
+    mixture_cap = (k_in + k_out) * expected
+    return {
+        "rows": rows,
+        "worst_path_slack": float(worst),
+        "expected_value": expected,
+        "mixture": mixture,
+        "mixture_value": mixture_check.value,
+        "mixture_cap": mixture_cap,
+        "per_path_feasible": bool(all_feasible),
+        "mixture_feasible": bool(mixture_check.feasible),
+        "mixture_bounded": bool(mixture_check.value <= mixture_cap + 1e-6),
+    }
+
+
+def check_dual_certificates_reference(suite) -> tuple[bool, str]:
+    """The former acceptance criterion 2 over a ratio suite."""
+    paths = 0
+    worst_path = np.inf
+    worst_mix = np.inf
+    ok = True
+    for case in suite:
+        probs = case.instance.probabilities()
+        for path in enumerate_paths_reference(case.instance, with_deadlines=False):
+            paths += 1
+            certificate = build_dual_certificate(case.instance, path)
+            verdict = check_dual(certificate, case.instance)
+            cap = case.k_in * len(path.chosen)
+            cap += case.k_out * float(sum(probs[e] for e in path.probed))
+            worst_path = min(worst_path, cap - verdict.value)
+            if not verdict.feasible or verdict.value > cap + 1e-9:
+                ok = False
+        mixed, expected = build_expected_certificate_reference(case.instance)
+        verdict = check_dual(mixed, case.instance)
+        cap = (case.k_in + case.k_out) * expected
+        worst_mix = min(worst_mix, cap - verdict.value)
+        if not verdict.feasible or verdict.value > cap + 1e-6:
+            ok = False
+    details = (
+        f"{paths} paths, worst path slack {worst_path:.2e}, "
+        f"worst mixture slack {worst_mix:.2e}"
+    )
+    return ok, details

@@ -19,12 +19,16 @@ from stochprobe.crschemes import (
     exact_partition_marginal,
     expected_inverse_one_plus,
     partition_marginal_lower_bound,
+    SchemeVerification,
+    resolve,
     resolve_ordered,
     resolve_partition,
     scheme_order,
+    unit_partition,
     verify_monotonicity,
     verify_scheme,
 )
+from stochprobe.evaluate import THREE_SIGMA_RADII
 from stochprobe.fixtures import random_matroid
 
 
@@ -97,6 +101,30 @@ def test_resolve_partition_rejects_larger_caps():
         resolve_partition(UniformMatroid(3, 1), {0, 1}, np.random.default_rng(0))
 
 
+def test_random_choice_precondition_messages():
+    wide = PartitionMatroid(3, parts=((0, 1, 2),), capacities=(2,))
+    with pytest.raises(CapabilityError) as caps:
+        unit_partition(wide)
+    assert str(caps.value) == (
+        "random-choice resolution needs all capacities 1; use the ordered scheme"
+    )
+    with pytest.raises(CapabilityError) as kind:
+        unit_partition(UniformMatroid(3, 1))
+    assert str(kind.value) == "random-choice resolution needs a partition matroid"
+    narrow = caps_one_fixture()
+    assert unit_partition(narrow) is narrow
+
+
+def test_random_choice_monotonicity_refuses_larger_caps():
+    # resolve refuses this system, so its monotonicity cannot be claimed
+    wide = PartitionMatroid(3, parts=((0, 1, 2),), capacities=(2,))
+    spec = CrSchemeSpec("partition_random_choice", 0.2)
+    with pytest.raises(CapabilityError, match="capacities 1"):
+        resolve(spec, wide, {0, 1}, np.random.default_rng(0))
+    with pytest.raises(CapabilityError, match="capacities 1"):
+        verify_monotonicity(spec, wide, {0}, {0, 1}, 0)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_resolution_outputs_are_independent(seed):
     rng = np.random.default_rng(seed)
@@ -164,6 +192,24 @@ def test_ordered_scheme_meets_matroid_bound():
     report = verify_scheme(spec, triangle_plus, z, trials=4000, seed=1)
     assert report.target_c == pytest.approx(0.75)
     assert report.satisfied()
+
+
+def test_satisfied_allows_a_three_sigma_slack_only():
+    radius = 0.01
+    target = 0.8
+
+    def verification(gap_radii):
+        return SchemeVerification(
+            estimates=(0.95, target - gap_radii * radius),
+            radii=(radius, radius),
+            included=(100, 100),
+            trials=100,
+            target_c=target,
+        )
+
+    assert verification(0.5 * THREE_SIGMA_RADII).satisfied()
+    # two 99% radii below the target is 5.2 standard errors short
+    assert not verification(2.0).satisfied()
 
 
 def test_partition_scheme_meets_bound_and_exact_marginals():

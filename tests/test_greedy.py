@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from stochprobe.acceptance import build_ratio_suite, check_dual_certificates
 from stochprobe.constraints import (
+    CapabilityError,
     ConstraintError,
     IntersectionSystem,
     PartitionMatroid,
     UniformMatroid,
 )
 from stochprobe.evaluate import optimal_adaptive
-from stochprobe.fixtures import random_instance, tightness_instance
+from stochprobe.fixtures import random_instance, random_system, tightness_instance
 from stochprobe.greedy import (
     PathOutcome,
+    audit_certificates,
     build_deadline_laminar,
     build_dual_certificate,
     build_expected_certificate,
@@ -29,7 +35,14 @@ from stochprobe.greedy import (
 from stochprobe.instance import make_instance
 from stochprobe.lp import check_dual, solve_probing_lp
 
-from oracles import brute_optimal_adaptive, powerset
+from oracles import (
+    brute_optimal_adaptive,
+    build_expected_certificate_reference,
+    certify_reference,
+    check_dual_certificates_reference,
+    enumerate_paths_reference,
+    powerset,
+)
 
 
 def two_element_fixture():
@@ -280,3 +293,122 @@ def test_tightness_fixture_ratio_is_one_third():
     ratio = fix.greedy_value / fix.optimal_value
     assert ratio == pytest.approx(1.0 / 3.0)
     assert ratio <= 1.0 / 3.0 + 0.1
+
+
+# ---------------------------------------------------------------------------
+# the replayed scan and the certificate audit against the code they replaced
+# ---------------------------------------------------------------------------
+
+
+def replay_cases():
+    """Random instances (some with deadlines), 0/1 probabilities, tightness."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        yield random_instance(
+            rng, n, inner_members=1 + seed % 2, outer_members=1 + (seed // 2) % 2,
+            weighted=seed % 3 == 0, with_deadlines=seed % 2 == 0,
+        )
+    for seed in range(20):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(3, 11))
+        probs = np.round(rng.uniform(0.05, 1.0, size=n), 3)
+        probs[rng.random(n) < 0.3] = 0.0
+        probs[rng.random(n) < 0.3] = 1.0
+        deadlines = [int(d) for d in rng.integers(1, n + 1, size=n)]
+        yield make_instance(
+            rng.uniform(0.1, 3.0, size=n), probs,
+            random_system(rng, n, 1 + seed % 2), random_system(rng, n),
+            deadlines=deadlines if seed % 2 else None,
+        )
+    for blocks in (1, 2, 3):
+        yield tightness_instance(blocks).instance
+
+
+@pytest.mark.parametrize("inst", list(replay_cases()))
+def test_replayed_paths_match_recursive_enumeration(inst):
+    new = list(enumerate_greedy_paths(inst))
+    assert pickle.dumps(new) == pickle.dumps(
+        list(enumerate_paths_reference(inst, with_deadlines=False))
+    )
+    if inst.has_deadlines():
+        new = list(enumerate_greedy_deadline_paths(inst))
+        assert pickle.dumps(new) == pickle.dumps(
+            list(enumerate_paths_reference(inst, with_deadlines=True))
+        )
+
+
+def test_zero_and_one_probabilities_fork_once():
+    inst = make_instance(
+        [1, 1, 1], [1.0, 0.0, 0.5], UniformMatroid(3, 3), UniformMatroid(3, 3)
+    )
+    paths = list(enumerate_greedy_paths(inst))
+    assert [(p.chosen, p.probability) for p in paths] == [
+        ({0, 2}, 0.5), ({0}, 0.5),
+    ]
+
+
+@pytest.mark.parametrize(
+    "enumerate_paths", [enumerate_greedy_paths, enumerate_greedy_deadline_paths]
+)
+def test_enumeration_cap_raises_lazily(enumerate_paths):
+    n = 16
+    inst = make_instance(
+        [1] * n, [0.5] * n, UniformMatroid(n, 2), UniformMatroid(n, 3),
+        deadlines=[n] * n,
+    )
+    paths = enumerate_paths(inst)
+    with pytest.raises(CapabilityError, match="capped at 15 elements"):
+        next(paths)
+
+
+def test_tightness_fixture_is_past_the_cap_for_both_enumerations():
+    inst = tightness_instance(7).instance
+    for with_deadlines, enumerate_paths in (
+        (False, enumerate_greedy_paths), (True, enumerate_greedy_deadline_paths),
+    ):
+        with pytest.raises(CapabilityError) as old:
+            next(enumerate_paths_reference(inst, with_deadlines))
+        with pytest.raises(CapabilityError) as new:
+            next(enumerate_paths(inst))
+        assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("inst", list(replay_cases())[::3])
+def test_audit_matches_former_certify(inst):
+    audit = audit_certificates(inst)
+    old = certify_reference(inst)
+    rows = [
+        {"path": i, "probability": r.probability, "value": r.value, "cap": r.cap,
+         "feasible": r.feasible}
+        for i, r in enumerate(audit.paths)
+    ]
+    assert pickle.dumps(rows) == pickle.dumps(old["rows"])
+    assert float(audit.worst_path_slack) == old["worst_path_slack"]
+    assert audit.expected == old["expected_value"]
+    assert pickle.dumps(audit.mixture) == pickle.dumps(old["mixture"])
+    assert audit.mixture_check.value == old["mixture_value"]
+    assert audit.mixture_cap == old["mixture_cap"]
+    assert audit.per_path_feasible is old["per_path_feasible"]
+    assert bool(audit.mixture_check.feasible) is old["mixture_feasible"]
+    assert audit.mixture_bounded is old["mixture_bounded"]
+    cert, expected = build_expected_certificate(inst)
+    assert pickle.dumps((cert, expected)) == pickle.dumps(
+        build_expected_certificate_reference(inst)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_two_matches_former_check(seed):
+    suite = build_ratio_suite(seed, count=40)
+    assert check_dual_certificates(suite) == check_dual_certificates_reference(suite)
+
+
+def test_audit_flags_a_certificate_over_its_cap():
+    inst = random_instance(3, n=6, weighted=False)
+    audit = audit_certificates(inst)
+    assert audit.holds
+    over = dataclasses.replace(audit.paths[0], feasible=False)
+    broken = dataclasses.replace(audit, paths=(over,) + audit.paths[1:])
+    assert not broken.holds
+    assert dataclasses.replace(audit, expected=0.0).mixture_bounded is False
