@@ -178,11 +178,10 @@ def solve_lp_p(spec: AuctionSpec) -> FractionalSolution:
         witness = spec.feasibility.separate(np.minimum(served, 1.0))
         if witness is None:
             return []
-        rank = spec.feasibility.rank(witness.members)
         members = frozenset(
             e for i in witness.members for e in copies[i] if probs[e] > 0
         )
-        return [Cut("inner", members, rank)]
+        return [Cut("inner", members, witness.rank)]
 
     return solve_probing_space(instance, copies, find_cuts)
 
@@ -262,7 +261,7 @@ def solve_lp_m(spec: AuctionSpec) -> MechanismLpSolution:
         row = np.zeros(dim)
         for i in witness.members:
             row[i * width : (i + 1) * width] = masses[i]
-        return [(row, float(spec.feasibility.rank(witness.members)))]
+        return [(row, float(witness.rank))]
 
     result, _, _ = cut_generation(coeff, rows, rhs, separate)
     z, served = serve(result.x)

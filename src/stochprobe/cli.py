@@ -30,13 +30,12 @@ from .auction import (
 )
 from .constraints import CapabilityError, ConstraintError
 from .crschemes import KINDS, CrSchemeSpec, verify_scheme
-from .evaluate import THREE_SIGMA_RADII, Policy, optimal_adaptive, simulate
+from .evaluate import THREE_SIGMA_RADII, optimal_adaptive, simulate
 from .greedy import (
     audit_certificates,
     exact_greedy_deadline_value,
     exact_greedy_value,
-    run_greedy,
-    run_greedy_deadline,
+    greedy_policy,
 )
 from .io import ParseError
 from .lp import LpEngineError, solve_probing_lp
@@ -114,13 +113,6 @@ def _read_instance(args):
     return io.read_instance(args.instance, strict=args.strict)
 
 
-def _greedy_policy(instance, with_deadlines: bool) -> Policy:
-    """Realized value of one greedy run, with or without the deadline clock."""
-    run = run_greedy_deadline if with_deadlines else run_greedy
-    weights = instance.weights()
-    return lambda inst, rng: run(inst, rng).realized_value(weights)
-
-
 def _greedy(args, argv, with_deadlines: bool):
     """Exact value by path enumeration; Monte Carlo above the enumeration cap."""
     instance = _read_instance(args)
@@ -132,7 +124,7 @@ def _greedy(args, argv, with_deadlines: bool):
     try:
         report.add(name, exact(instance), "exact")
     except CapabilityError:
-        policy = _greedy_policy(instance, with_deadlines)
+        policy = greedy_policy(instance, with_deadlines)
         outcome = simulate(policy, instance, args.trials, args.seed)
         report.add(name, outcome.mean, _monte_carlo(args.trials))
         report.add(name + "_radius", outcome.radius, _monte_carlo(args.trials))
@@ -156,9 +148,8 @@ def _config_of(args, instance) -> RoundingConfig:
     base = default_config(instance, seed=args.seed)
     b = args.b if args.b is not None else base.b
     outer_kind = args.outer_scheme or base.outer_scheme.kind
-    inner_kind = args.inner_scheme or base.inner_scheme.kind
     outer = CrSchemeSpec(outer_kind, b, order_policy="by-index")
-    inner = CrSchemeSpec(inner_kind, b, order_policy="by-weight-desc")
+    inner = CrSchemeSpec(base.inner_scheme.kind, b, order_policy="by-weight-desc")
     return RoundingConfig(b=b, outer_scheme=outer, inner_scheme=inner, seed=args.seed)
 
 
@@ -199,7 +190,7 @@ def _simulate(args, argv):
     instance = _read_instance(args)
     with_deadlines = instance.has_deadlines()
     name = "greedy_deadline_value" if with_deadlines else "greedy_value"
-    policy = _greedy_policy(instance, with_deadlines)
+    policy = greedy_policy(instance, with_deadlines)
     outcome = simulate(policy, instance, args.trials, args.seed)
     report = RunReport(argv, {"seed": args.seed, "trials": args.trials})
     report.add(name, outcome.mean, _monte_carlo(args.trials))
@@ -263,6 +254,8 @@ def _verify_cr(args, argv):
 
 
 def _spm(args, argv):
+    if args.best_of < 1:
+        raise ConstraintError(f"--best-of must be at least 1, got {args.best_of}")
     spec = io.read_auction(args.instance, strict=args.strict)
     mechanism_lp = solve_lp_m(spec)
     probing_lp = solve_lp_p(spec)
@@ -337,7 +330,6 @@ def _add_common(sub, *, trials=False, schemes=False, best_of=False, seed_require
         sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     if schemes:
         sub.add_argument("--b", type=float, default=None)
-        sub.add_argument("--inner-scheme", choices=KINDS, default=None)
         sub.add_argument("--outer-scheme", choices=KINDS, default=None)
     if best_of:
         sub.add_argument("--best-of", type=int, default=20, dest="best_of")

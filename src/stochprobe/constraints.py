@@ -2,14 +2,16 @@
 
 Every system answers four queries: membership (is_independent), exact rank,
 span, and separation over the rank polytope {x in [0,1]^V : x(S) <= rank(S)}.
-Matroid variants use closed forms; intersections and explicit families fall
-back to exact enumeration, which is why universe sizes are capped there.
+Matroid variants take rank and span from a greedy pass over their checker and
+separate in polynomial time; intersections and explicit families fall back to
+exact enumeration, which is why universe sizes are capped there.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -47,6 +49,7 @@ def _bits(mask: int):
 def mask_of(elements: Iterable[int], n: int) -> int:
     mask = 0
     for e in elements:
+        e = operator.index(e)
         if not 0 <= e < n:
             raise ConstraintError(f"element {e} outside universe of size {n}")
         mask |= 1 << e
@@ -59,10 +62,11 @@ def set_of(mask: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class SubsetWitness:
-    """A violated rank constraint: x(members) = value > rank(members)."""
+    """A violated rank constraint: x(members) = value > rank = rank(members)."""
 
     members: frozenset[int]
     value: float
+    rank: int
 
 
 class UnionFind:
@@ -179,13 +183,7 @@ class ConstraintSystem:
         raise NotImplementedError
 
     def _rank_mask(self, mask: int) -> int:
-        tables = _try_tables(self)
-        if tables is not None:
-            return int(tables.rank[mask])
-        return self._rank_mask_direct(mask)
-
-    def _rank_mask_direct(self, mask: int) -> int:
-        raise NotImplementedError
+        return _rank_by_search(self, mask)
 
     # -- public set-level API -------------------------------------------------
 
@@ -341,8 +339,57 @@ class _ExplicitChecker(IndependenceChecker):
 # ---------------------------------------------------------------------------
 
 
+class Matroid(ConstraintSystem):
+    """Base for matroid variants: greedy over checker() is exact on a matroid
+    (Edmonds 1970), so it gives the rank of any set and the span of t."""
+
+    def _greedy(self, mask: int) -> tuple[IndependenceChecker, int]:
+        """A checker fed mask's bits in ascending order, and how many it took."""
+        chk = self.checker()
+        taken = 0
+        for e in _bits(mask):
+            if chk.can_add(e):
+                chk.add(e)
+                taken += 1
+        return chk, taken
+
+    def _rank_mask(self, mask: int) -> int:
+        return self._greedy(mask)[1]
+
+    def span(self, t: Iterable[int]) -> frozenset[int]:
+        """t plus every element the greedy basis of t refuses."""
+        mask = mask_of(t, self.universe_size)
+        chk = self._greedy(mask)[0]
+        for e in range(self.universe_size):
+            if not chk.can_add(e):
+                mask |= 1 << e
+        return set_of(mask)
+
+    def k_parameter(self) -> int:
+        return 1
+
+
+def _separate_capacity_sets(
+    system: Matroid, sets: Sequence[tuple[int, ...]], x: np.ndarray, tol: float
+) -> Optional[SubsetWitness]:
+    """Most violated x(S) <= rank(S) over a partition's parts or a laminar
+    family's sets; ties go to the earliest set."""
+    best = None
+    for s in sets:
+        if not s:
+            continue
+        total = float(sum(x[e] for e in s))
+        bound = system._rank_mask(mask_of(s, system.universe_size))
+        excess = total - bound
+        if excess > tol and (best is None or excess > best[0]):
+            best = (excess, frozenset(s), total, bound)
+    if best is None:
+        return None
+    return SubsetWitness(*best[1:])
+
+
 @dataclass(frozen=True)
-class UniformMatroid(ConstraintSystem):
+class UniformMatroid(Matroid):
     universe_size: int
     limit: int
 
@@ -355,28 +402,14 @@ class UniformMatroid(ConstraintSystem):
     def _indep_mask(self, mask: int) -> bool:
         return _popcount(mask) <= self.limit
 
-    def _rank_mask(self, mask: int) -> int:
-        return min(self.limit, _popcount(mask))
-
-    _rank_mask_direct = _rank_mask
-
-    def span(self, t: Iterable[int]) -> frozenset[int]:
-        mask = mask_of(t, self.universe_size)
-        if _popcount(mask) >= self.limit:
-            return frozenset(range(self.universe_size))
-        return set_of(mask)
-
     def _separate(self, x: np.ndarray, tol: float) -> Optional[SubsetWitness]:
         support = np.flatnonzero(x > 0)
         if len(support) <= self.limit:
             return None
         total = float(x[support].sum())
         if total > self.limit + tol:
-            return SubsetWitness(frozenset(int(e) for e in support), total)
+            return SubsetWitness(frozenset(int(e) for e in support), total, self.limit)
         return None
-
-    def k_parameter(self) -> int:
-        return 1
 
     def checker(self) -> IndependenceChecker:
         return _UniformChecker(self.limit)
@@ -386,7 +419,7 @@ class UniformMatroid(ConstraintSystem):
 
 
 @dataclass(frozen=True)
-class PartitionMatroid(ConstraintSystem):
+class PartitionMatroid(Matroid):
     """Disjoint parts with per-part capacities; uncovered elements are free."""
 
     universe_size: int
@@ -419,51 +452,14 @@ class PartitionMatroid(ConstraintSystem):
                 out[e] = j
         return tuple(out)
 
-    @cached_property
-    def _free_mask(self) -> int:
-        covered = 0
-        for pm in self._part_masks:
-            covered |= pm
-        return ((1 << self.universe_size) - 1) & ~covered
-
     def _indep_mask(self, mask: int) -> bool:
         return all(
             _popcount(mask & pm) <= cap
             for pm, cap in zip(self._part_masks, self.capacities)
         )
 
-    def _rank_mask(self, mask: int) -> int:
-        total = _popcount(mask & self._free_mask)
-        for pm, cap in zip(self._part_masks, self.capacities):
-            total += min(cap, _popcount(mask & pm))
-        return total
-
-    _rank_mask_direct = _rank_mask
-
-    def span(self, t: Iterable[int]) -> frozenset[int]:
-        mask = mask_of(t, self.universe_size)
-        out = mask
-        for pm, cap in zip(self._part_masks, self.capacities):
-            if _popcount(mask & pm) >= cap:
-                out |= pm
-        return set_of(out)
-
     def _separate(self, x: np.ndarray, tol: float) -> Optional[SubsetWitness]:
-        best = None
-        for part, cap in zip(self.parts, self.capacities):
-            if not part:
-                continue
-            total = float(sum(x[e] for e in part))
-            bound = min(cap, len(part))
-            excess = total - bound
-            if excess > tol and (best is None or excess > best[0]):
-                best = (excess, frozenset(part), total)
-        if best is None:
-            return None
-        return SubsetWitness(best[1], best[2])
-
-    def k_parameter(self) -> int:
-        return 1
+        return _separate_capacity_sets(self, self.parts, x, tol)
 
     def checker(self) -> IndependenceChecker:
         return _PartitionChecker(self._part_of, self.capacities)
@@ -477,8 +473,8 @@ class PartitionMatroid(ConstraintSystem):
 
 
 @dataclass(frozen=True)
-class LaminarMatroid(ConstraintSystem):
-    """Nested-or-disjoint sets with capacities; rank by greedy."""
+class LaminarMatroid(Matroid):
+    """Nested-or-disjoint sets with capacities."""
 
     universe_size: int
     sets: tuple[tuple[int, ...], ...]
@@ -515,34 +511,8 @@ class LaminarMatroid(ConstraintSystem):
             for sm, cap in zip(self._set_masks, self.capacities)
         )
 
-    def _rank_mask(self, mask: int) -> int:
-        # greedy is exact on matroids; scan in index order
-        chk = self.checker()
-        total = 0
-        for e in _bits(mask):
-            if chk.can_add(e):
-                chk.add(e)
-                total += 1
-        return total
-
-    _rank_mask_direct = _rank_mask
-
     def _separate(self, x: np.ndarray, tol: float) -> Optional[SubsetWitness]:
-        best = None
-        for s, cap in zip(self.sets, self.capacities):
-            if not s:
-                continue
-            total = float(sum(x[e] for e in s))
-            bound = self.rank(s)
-            excess = total - bound
-            if excess > tol and (best is None or excess > best[0]):
-                best = (excess, frozenset(s), total)
-        if best is None:
-            return None
-        return SubsetWitness(best[1], best[2])
-
-    def k_parameter(self) -> int:
-        return 1
+        return _separate_capacity_sets(self, self.sets, x, tol)
 
     def checker(self) -> IndependenceChecker:
         return _LaminarChecker(self._sets_containing, self.capacities)
@@ -556,7 +526,7 @@ class LaminarMatroid(ConstraintSystem):
 
 
 @dataclass(frozen=True)
-class GraphicMatroid(ConstraintSystem):
+class GraphicMatroid(Matroid):
     """Elements are edges; independence is acyclicity (forests)."""
 
     universe_size: int
@@ -580,27 +550,6 @@ class GraphicMatroid(ConstraintSystem):
                 return False
         return True
 
-    def _rank_mask_direct(self, mask: int) -> int:
-        uf = UnionFind(self.vertex_count)
-        total = 0
-        for e in _bits(mask):
-            u, v = self.edges[e]
-            if uf.union(u, v):
-                total += 1
-        return total
-
-    def span(self, t: Iterable[int]) -> frozenset[int]:
-        mask = mask_of(t, self.universe_size)
-        uf = UnionFind(self.vertex_count)
-        for e in _bits(mask):
-            u, v = self.edges[e]
-            uf.union(u, v)
-        out = set()
-        for e, (u, v) in enumerate(self.edges):
-            if uf.find(u) == uf.find(v):
-                out.add(e)
-        return frozenset(out)
-
     def _separate(self, x: np.ndarray, tol: float) -> Optional[SubsetWitness]:
         """Worst induced-subgraph constraint, found by one min-cut per root.
 
@@ -614,13 +563,13 @@ class GraphicMatroid(ConstraintSystem):
         if loops:
             mass = float(sum(x[e] for e in loops))
             if mass > tol:
-                return SubsetWitness(frozenset(loops), mass)
+                return SubsetWitness(frozenset(loops), mass, 0)
         support = [
             e for e, (u, v) in enumerate(self.edges) if u != v and x[e] > 0
         ]
         if not support:
             return None
-        best: Optional[tuple[float, frozenset[int], float]] = None
+        best: Optional[tuple[float, frozenset[int], float, int]] = None
         for w in range(self.vertex_count):
             # source 0, sink 1, vertex v -> 2 + v, j-th support edge after that
             flow = _MaxFlow(2 + self.vertex_count + len(support))
@@ -655,13 +604,10 @@ class GraphicMatroid(ConstraintSystem):
                 vertices = {v for e in members for v in self.edges[e]}
                 excess = value - (len(vertices) - 1)
                 if excess > tol and (best is None or excess > best[0]):
-                    best = (excess, frozenset(members), value)
+                    best = (excess, frozenset(members), value, len(vertices) - 1)
         if best is None:
             return None
-        return SubsetWitness(best[1], best[2])
-
-    def k_parameter(self) -> int:
-        return 1
+        return SubsetWitness(*best[1:])
 
     def checker(self) -> IndependenceChecker:
         return _GraphicChecker(self.edges, self.vertex_count)
@@ -702,9 +648,6 @@ class IntersectionSystem(ConstraintSystem):
 
     def _indep_mask(self, mask: int) -> bool:
         return all(m._indep_mask(mask) for m in self.members)
-
-    def _rank_mask_direct(self, mask: int) -> int:
-        return _rank_by_search(self, mask)
 
     def k_parameter(self) -> int:
         return sum(m.k_parameter() for m in self.members)
@@ -747,13 +690,6 @@ class ExplicitSystem(ConstraintSystem):
     def _indep_mask(self, mask: int) -> bool:
         return mask in self.family
 
-    def _rank_mask_direct(self, mask: int) -> int:
-        best = 0
-        for m in self.family:
-            if m & ~mask == 0:
-                best = max(best, _popcount(m))
-        return best
-
     def k_parameter(self) -> int:
         """Smallest integer k such that max/min maximal sizes stay within k.
 
@@ -792,7 +728,8 @@ class ExplicitSystem(ConstraintSystem):
 
 
 # ---------------------------------------------------------------------------
-# enumeration machinery shared by graphic/intersection/explicit
+# enumeration machinery: mask tables for every variant, rank and separation
+# by search for intersections and explicit families
 # ---------------------------------------------------------------------------
 
 
@@ -891,7 +828,7 @@ def _separate_by_enumeration(
         excess = sums - tables.rank
         best = int(np.argmax(excess))
         if excess[best] > tol:
-            return SubsetWitness(set_of(best), float(sums[best]))
+            return SubsetWitness(set_of(best), float(sums[best]), int(tables.rank[best]))
         return None
     if len(support) > ENUMERATION_LIMIT:
         raise CapabilityError(
@@ -905,12 +842,13 @@ def _separate_by_enumeration(
             for e in combo:
                 mask |= 1 << e
                 total += float(x[e])
-            excess = total - system._rank_mask(mask)
+            rank = system._rank_mask(mask)
+            excess = total - rank
             if excess > tol and (best_w is None or excess > best_w[0]):
-                best_w = (excess, frozenset(combo), total)
+                best_w = (excess, frozenset(combo), total, rank)
     if best_w is None:
         return None
-    return SubsetWitness(best_w[1], best_w[2])
+    return SubsetWitness(*best_w[1:])
 
 
 def _subset_sums(x: np.ndarray, n: int) -> np.ndarray:

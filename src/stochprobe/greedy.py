@@ -89,6 +89,18 @@ def run_greedy(instance: ProbingInstance, activity: Activity) -> PathOutcome:
     return _run(instance, activity, with_deadlines=False)
 
 
+def greedy_policy(
+    instance: ProbingInstance, with_deadlines: bool
+) -> Callable[[ProbingInstance, np.random.Generator], float]:
+    """Realized value of one greedy run on instance per call, with or without
+    the deadline clock; the set-up runs once and the coins are drawn as in
+    run_greedy and run_greedy_deadline."""
+    probs = instance.probabilities()
+    run = _scan(instance, probs, with_deadlines)
+    weights = instance.weights()
+    return lambda inst, rng: run(_activity_fn(rng, probs)).realized_value(weights)
+
+
 def build_deadline_laminar(instance: ProbingInstance) -> LaminarMatroid:
     """Chain matroid: at most t probes among elements with deadline <= t."""
     deadlines = instance.deadlines()

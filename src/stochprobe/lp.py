@@ -82,7 +82,7 @@ def solve_probing_lp(instance: ProbingInstance) -> FractionalSolution:
         ):
             witness = system.separate(point)
             if witness is not None:
-                cuts.append(Cut(side, witness.members, system.rank(witness.members)))
+                cuts.append(Cut(side, witness.members, witness.rank))
         return cuts
 
     return solve_probing_space(instance, (), find_cuts)

@@ -95,6 +95,77 @@ def graph_is_forest(edges: Sequence[tuple[int, int]], chosen: frozenset) -> bool
     return True
 
 
+def _components(edges: Sequence[tuple[int, int]], chosen: Iterable[int]):
+    """find() over the vertices joined by the chosen edges."""
+    parent: dict[int, int] = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in chosen:
+        u, v = edges[e]
+        parent[find(u)] = find(v)
+    return find
+
+
+def _laminar_rank(sets, capacities, s: frozenset) -> int:
+    """Bottom-up over the laminar tree: a set holds min(cap, its own elements
+    of s plus the ranks of its maximal subsets); duplicates nest."""
+    roots: list[tuple[frozenset, int]] = []
+    for members, cap in sorted(zip(map(frozenset, sets), capacities), key=lambda mc: len(mc[0])):
+        inside = [root for root in roots if root[0] <= members]
+        covered = frozenset().union(*(m for m, _ in inside))
+        value = min(cap, len(s & (members - covered)) + sum(r for _, r in inside))
+        roots = [root for root in roots if not root[0] <= members] + [(members, value)]
+    covered = frozenset().union(*(m for m, _ in roots))
+    return len(s - covered) + sum(r for _, r in roots)
+
+
+def closed_form_rank(system, s: Iterable[int]) -> int:
+    """Matroid rank by its closed form: min(limit, |S|); free elements plus
+    min(cap, |S & part|) per part; one less than the vertex count of each
+    component of S; the laminar recursion."""
+    s = frozenset(s)
+    if system.variant == "uniform":
+        return min(system.limit, len(s))
+    if system.variant == "partition":
+        covered = frozenset().union(*map(frozenset, system.parts))
+        return len(s - covered) + sum(
+            min(cap, len(s & frozenset(part)))
+            for part, cap in zip(system.parts, system.capacities)
+        )
+    if system.variant == "graphic":
+        find = _components(system.edges, s)
+        vertices = {v for e in s for v in system.edges[e]}
+        return len(vertices) - len({find(v) for v in vertices})
+    assert system.variant == "laminar"
+    return _laminar_rank(system.sets, system.capacities, s)
+
+
+def closed_form_span(system, t: Iterable[int]) -> frozenset:
+    """Matroid span by its closed form: everything once |T| reaches the
+    limit; T plus every part T fills; every edge inside a component of T;
+    for laminar, the elements that leave the rank of T unchanged."""
+    t = frozenset(t)
+    n = system.universe_size
+    if system.variant == "uniform":
+        return frozenset(range(n)) if len(t) >= system.limit else t
+    if system.variant == "partition":
+        full = [
+            frozenset(part) for part, cap in zip(system.parts, system.capacities)
+            if len(t & frozenset(part)) >= cap
+        ]
+        return t.union(*full)
+    if system.variant == "graphic":
+        find = _components(system.edges, t)
+        return frozenset(e for e, (u, v) in enumerate(system.edges) if find(u) == find(v))
+    base = closed_form_rank(system, t)
+    return frozenset(e for e in range(n) if closed_form_rank(system, t | {e}) == base)
+
+
 def brute_k_parameter(is_independent, universe: Sequence[int]) -> int:
     """Exact k-system parameter: worst max/min maximal ratio over subsets."""
     import math

@@ -141,10 +141,21 @@ def test_oracle_provenance(capsys):
         ("acceptance",),
         ("no-such-command",),
         ("round", "--instance", WEIGHTED, "--outer-scheme", "bogus"),
+        # the inner scheme is fixed to the ordered scheme; there is no flag
+        ("round", "--instance", WEIGHTED, "--inner-scheme", "ordered_ksystem"),
+        ("verify-cr", "--instance", WEIGHTED, "--inner-scheme", "ordered_ksystem"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
     assert cli.main(list(argv)) == 2
+
+
+@pytest.mark.parametrize("best_of", ["0", "-3"])
+def test_spm_without_draws_exits_2(capsys, best_of):
+    assert cli.main(["spm", "--instance", AUCTION, "--best-of", best_of]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--best-of must be at least 1" in captured.err
 
 
 def _fake_results(failing):

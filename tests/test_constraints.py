@@ -24,6 +24,8 @@ from stochprobe.constraints import (
 
 from oracles import (
     brute_k_parameter,
+    closed_form_rank,
+    closed_form_span,
     brute_rank,
     brute_separate,
     brute_span,
@@ -111,7 +113,7 @@ def test_separate_triangle_witness():
     assert w is not None
     assert w.members == {0, 1, 2}
     assert w.value == pytest.approx(2.1)
-    assert m.rank(w.members) == 2
+    assert w.rank == m.rank(w.members) == 2
 
 
 def test_separate_feasible_point_returns_none():
@@ -133,6 +135,17 @@ def test_laminar_nested_capacities():
     assert not m.is_independent([0, 1])
     assert not m.is_independent([1, 2, 3])
     assert m.rank([0, 1, 2, 3]) == 2
+
+
+def test_laminar_separate_bounds_a_set_by_its_rank():
+    # the outer set's capacity 4 exceeds its rank 2 (one element per pair)
+    m = LaminarMatroid(
+        universe_size=4, sets=((0, 1), (2, 3), (0, 1, 2, 3)), capacities=(1, 1, 4)
+    )
+    w = m.separate([0.6, 0.6, 0.6, 0.6])
+    assert w.members == {0, 1, 2, 3}
+    assert w.value == pytest.approx(2.4)
+    assert w.rank == m.rank(w.members) == 2
 
 
 def test_laminar_rejects_crossing_sets():
@@ -217,6 +230,7 @@ def test_separate_matches_bruteforce(system):
         if worst > 1e-9:
             assert witness is not None
             assert sum(x[e] for e in witness.members) == pytest.approx(witness.value)
+            assert witness.rank == system.rank(witness.members)
             assert witness.value > system.rank(witness.members) + 1e-9
             # returned witness is maximally violated for table-backed variants;
             # for closed-form variants any genuine violation is acceptable
@@ -240,6 +254,106 @@ def test_mask_tables_agree_with_public_api(system):
         members = [e for e in range(n) if mask >> e & 1]
         assert bool(tables.independent[mask]) == system.is_independent(members)
         assert int(tables.rank[mask]) == system.rank(members)
+
+
+@pytest.mark.parametrize("system", list(zoo()), ids=lambda s: s.variant)
+def test_numpy_integer_elements(system):
+    n = system.universe_size
+    for s in powerset(range(n)):
+        as_numpy = np.array(sorted(s), dtype=np.int64)
+        assert system.is_independent(as_numpy) == system.is_independent(s)
+        assert system.rank(list(as_numpy)) == system.rank(s)
+        assert system.span(as_numpy) == system.span(s)
+
+
+def test_numpy_integer_elements_past_63():
+    m = UniformMatroid(universe_size=80, limit=1)
+    assert m.rank(np.array([70, 79])) == 1
+    assert m.span(np.array([70])) == frozenset(range(80))
+    assert not m.is_independent(np.array([63, 64]))
+
+
+# ---------------------------------------------------------------------------
+# greedy rank and span against the closed forms they replaced
+# ---------------------------------------------------------------------------
+
+
+def random_uniform(rng, n, seen):
+    limit = int(rng.choice([0, n, n + 2, int(rng.integers(0, n + 1))]))
+    seen.add("limit 0" if limit == 0 else "limit >= n" if limit >= n else "limit < n")
+    return UniformMatroid(n, limit)
+
+
+def random_partition(rng, n, seen):
+    labels = rng.integers(-1, 4, size=n)  # -1: free element
+    parts = [tuple(e for e in range(n) if labels[e] == j) for j in range(4)]
+    caps = [int(rng.integers(0, 4)) for _ in parts]
+    seen.update(k for k, on in [("free", -1 in labels), ("cap 0", 0 in caps)] if on)
+    return PartitionMatroid(n, parts=tuple(parts), capacities=tuple(caps))
+
+
+def random_laminar(rng, n, seen):
+    """Nested or disjoint runs of a shuffled universe, some sets repeated."""
+    order = [int(e) for e in rng.permutation(n)]
+    sets = []
+
+    def split(lo, hi):
+        size = hi - lo
+        cuts = sorted(rng.choice(np.arange(lo + 1, hi), min(2, size - 1), replace=False))
+        for a, b in zip([lo, *cuts], [*cuts, hi]):
+            if rng.random() < 0.6:
+                sets.append(tuple(sorted(order[a:b])))
+            if b - a > 1 and rng.random() < 0.7:
+                split(a, b)
+
+    if n:
+        split(0, n)
+    sets += [sets[int(i)] for i in rng.integers(0, len(sets), size=min(len(sets), 2))]
+    caps = [int(rng.integers(0, len(s) + 2)) for s in sets]
+    covered = set().union(*sets)
+    seen.update(k for k, on in [("free", len(covered) < n), ("cap 0", 0 in caps)] if on)
+    return LaminarMatroid(n, sets=tuple(sets), capacities=tuple(caps))
+
+
+def random_graphic(rng, n, seen):
+    vertices = int(rng.integers(1, 6))
+    edges = tuple(tuple(int(v) for v in rng.integers(0, vertices, size=2)) for _ in range(n))
+    seen.update(k for k, on in [
+        ("loop", any(u == v for u, v in edges)),
+        ("parallel", len(set(map(frozenset, edges))) < len(edges)),
+    ] if on)
+    return GraphicMatroid(n, vertex_count=vertices, edges=edges)
+
+
+@pytest.mark.parametrize("draw, cases", [
+    (random_uniform, {"limit 0", "limit >= n", "limit < n"}),
+    (random_partition, {"free", "cap 0"}),
+    (random_laminar, {"free", "cap 0"}),
+    (random_graphic, {"loop", "parallel"}),
+], ids=["uniform", "partition", "laminar", "graphic"])
+def test_rank_span_equal_closed_forms(draw, cases):
+    rng = np.random.default_rng(2013)
+    seen = set()
+    for _ in range(25):
+        n = int(rng.integers(0, 11))
+        system = draw(rng, n, seen)
+        for mask in range(1 << n):
+            s = [e for e in range(n) if mask >> e & 1]
+            assert system.rank(s) == closed_form_rank(system, s)
+            assert system.span(s) == closed_form_span(system, s)
+    assert seen >= cases
+
+
+def test_closed_forms_agree_with_brute_force():
+    rng = np.random.default_rng(7)
+    for draw in (random_uniform, random_partition, random_laminar, random_graphic):
+        for _ in range(6):
+            n = int(rng.integers(0, 6))
+            system = draw(rng, n, set())
+            indep = system.is_independent
+            for s in powerset(range(n)):
+                assert closed_form_rank(system, s) == brute_rank(indep, s)
+                assert closed_form_span(system, s) == brute_span(indep, range(n), s)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +439,8 @@ def test_separate_none_iff_all_rank_constraints_hold(system, data):
     indep = lambda t: system.is_independent(t)
     worst = brute_separate(indep, range(n), x)
     assert (witness is None) == (worst <= 1e-9)
+    if witness is not None:
+        assert witness.rank == system.rank(witness.members)
 
 
 def parallel_paths(n_paths):
@@ -346,7 +462,8 @@ def test_graphic_separate_scales_past_enumeration():
     w = m.separate(x)
     assert w is not None
     # worst set is the whole graph: 11.2 mass against a spanning tree of 11
-    assert w.value - m.rank(w.members) == pytest.approx(0.2)
+    assert w.rank == m.rank(w.members)
+    assert w.value - w.rank == pytest.approx(0.2)
     tight = [0.5] * 20 + [1.0]
     assert m.separate(tight) is None
 
@@ -359,6 +476,7 @@ def test_graphic_separate_weak_violation_in_far_component():
     assert w is not None
     assert w.members == {1, 2, 3}
     assert w.value == pytest.approx(2.1)
+    assert w.rank == m.rank(w.members) == 2
 
 
 def test_graphic_separate_flags_self_loop_mass():
@@ -367,4 +485,5 @@ def test_graphic_separate_flags_self_loop_mass():
     assert w is not None
     assert w.members == {1}
     assert w.value == pytest.approx(0.3)
+    assert w.rank == m.rank(w.members) == 0
     assert m.separate([1.0, 0.0]) is None

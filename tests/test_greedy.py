@@ -16,7 +16,7 @@ from stochprobe.constraints import (
     PartitionMatroid,
     UniformMatroid,
 )
-from stochprobe.evaluate import optimal_adaptive
+from stochprobe.evaluate import optimal_adaptive, simulate
 from stochprobe.fixtures import random_instance, random_system, tightness_instance
 from stochprobe.greedy import (
     PathOutcome,
@@ -29,6 +29,7 @@ from stochprobe.greedy import (
     exact_greedy_deadline_value,
     exact_greedy_value,
     greedy_order,
+    greedy_policy,
     run_greedy,
     run_greedy_deadline,
 )
@@ -412,3 +413,15 @@ def test_audit_flags_a_certificate_over_its_cap():
     broken = dataclasses.replace(audit, paths=(over,) + audit.paths[1:])
     assert not broken.holds
     assert dataclasses.replace(audit, expected=0.0).mixture_bounded is False
+
+
+@pytest.mark.parametrize("trials", [1, 2, 300])
+@pytest.mark.parametrize("with_deadlines", [False, True])
+def test_greedy_policy_matches_per_call_runs(trials, with_deadlines):
+    run = run_greedy_deadline if with_deadlines else run_greedy
+    for seed in range(4):
+        inst = random_instance(seed, n=4 + 2 * seed, with_deadlines=with_deadlines)
+        weights = inst.weights()
+        per_call = lambda g, rng: run(g, rng).realized_value(weights)
+        once = greedy_policy(inst, with_deadlines)
+        assert simulate(once, inst, trials, seed) == simulate(per_call, inst, trials, seed)
