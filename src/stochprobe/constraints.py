@@ -373,7 +373,11 @@ def _separate_capacity_sets(
     system: Matroid, sets: Sequence[tuple[int, ...]], x: np.ndarray, tol: float
 ) -> Optional[SubsetWitness]:
     """Most violated x(S) <= rank(S) over a partition's parts or a laminar
-    family's sets; ties go to the earliest set."""
+    family's sets; ties go to the earliest set.
+
+    When no single set exceeds tol, several disjoint sets may still do so
+    together, so the exact worst union is tried before reporting x feasible.
+    """
     best = None
     for s in sets:
         if not s:
@@ -384,8 +388,49 @@ def _separate_capacity_sets(
         if excess > tol and (best is None or excess > best[0]):
             best = (excess, frozenset(s), total, bound)
     if best is None:
+        mask = _worst_laminar_union(system, sets, x)
+        total = float(sum(x[e] for e in _bits(mask)))
+        bound = system._rank_mask(mask)
+        if total - bound > tol:
+            return SubsetWitness(set_of(mask), total, bound)
         return None
     return SubsetWitness(*best[1:])
+
+
+def _worst_laminar_union(
+    system: Matroid, sets: Sequence[tuple[int, ...]], x: np.ndarray
+) -> int:
+    """Mask of the set maximising x(S) - rank(S) under a laminar family.
+
+    The rank of S within a set A is min(cap_A, the children's ranks of S
+    plus S's elements in A outside every child), so the worst violation
+    inside A is the larger of x(A) - cap_A and the children's positive worst
+    violations summed. Sets are visited smallest first, so each set's
+    children are the visited sets it contains that have no parent yet.
+    """
+    n = system.universe_size
+    masks = [mask_of(s, n) for s in sets]
+    order = sorted(range(len(sets)), key=lambda j: (_popcount(masks[j]), j))
+    gain: dict[int, float] = {}
+    pick: dict[int, int] = {}
+    tops: list[int] = []
+    for j in order:
+        kids = [i for i in tops if masks[i] & ~masks[j] == 0]
+        tops = [i for i in tops if i not in kids] + [j]
+        inner = sum(gain[i] for i in kids)
+        whole = float(sum(x[e] for e in sets[j])) - system.capacities[j]
+        if whole >= inner:
+            gain[j], pick[j] = whole, masks[j]
+        else:
+            gain[j], pick[j] = inner, 0
+            for i in kids:
+                pick[j] |= pick[i]
+        if gain[j] <= 0:
+            gain[j], pick[j] = 0.0, 0
+    mask = 0
+    for i in tops:
+        mask |= pick[i]
+    return mask
 
 
 @dataclass(frozen=True)

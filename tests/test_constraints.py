@@ -148,6 +148,25 @@ def test_laminar_separate_bounds_a_set_by_its_rank():
     assert w.rank == m.rank(w.members) == 2
 
 
+def test_separate_sums_violations_each_within_tolerance():
+    # each part exceeds its capacity by exactly the tolerance; together by twice it
+    m = PartitionMatroid(universe_size=4, parts=((0, 1, 2), (3,)), capacities=(0, 0))
+    w = m.separate([0.0, 0.0, 1e-9, 1e-9])
+    assert w is not None
+    assert w.members == {0, 1, 2, 3}
+    assert w.value == pytest.approx(2e-9)
+    assert w.rank == 0
+    # nested: element 4 gives the outer set rank 1, so only the two inner
+    # sets together are violated by more than the tolerance
+    lam = LaminarMatroid(
+        universe_size=5, sets=((0, 1), (2, 3), (0, 1, 2, 3, 4)), capacities=(0, 0, 5)
+    )
+    w = lam.separate([1e-9, 0.0, 0.0, 1e-9, 0.0])
+    assert w.members == {0, 1, 2, 3}
+    assert w.rank == lam.rank(w.members) == 0
+    assert lam.separate([1e-9, 0.0, 0.0, 0.0, 0.0]) is None
+
+
 def test_laminar_rejects_crossing_sets():
     with pytest.raises(ConstraintError):
         LaminarMatroid(universe_size=3, sets=((0, 1), (1, 2)), capacities=(1, 1))
