@@ -1,20 +1,19 @@
-"""Policy evaluation: Monte Carlo, exact enumeration, adaptive optimum.
+"""Policy evaluation: Monte Carlo and the adaptive optimum.
 
 Every Monte Carlo trial in the package takes its generator from trial_rngs,
 and every confidence radius comes from from_samples or binomial_radius.
 
 Policies are callables (instance, rng) -> realized value for one draw of the
-element activities. Exact evaluation is offered for permutation policies
-(probe in a fixed order whenever both systems permit), optionally with an
-independent probe-inclusion coin per element, which is how rounded LP
-solutions and the bad-ordering baselines are shaped.
+element activities. Permutation policies probe in a fixed order whenever
+both systems permit, optionally with an independent probe-inclusion coin per
+element, which is how rounded LP solutions and the bad-ordering baselines
+are shaped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -24,8 +23,6 @@ from .instance import ProbingInstance
 
 Policy = Callable[[ProbingInstance, np.random.Generator], float]
 
-EXACT_PERMUTATION_LIMIT = 15
-EXACT_COIN_LIMIT = 12
 ORACLE_LIMIT = 12
 ORACLE_DEADLINE_LIMIT = 10
 
@@ -117,64 +114,19 @@ def permutation_policy(
     return run
 
 
-def _validate_order(order: Sequence[int], n: int) -> tuple[int, ...]:
-    order = tuple(int(e) for e in order)
-    if sorted(order) != list(range(n)):
-        raise ConstraintError("order must be a permutation of the universe")
-    return order
-
-
-def exact_nonadaptive_value(
-    order: Sequence[int],
-    instance: ProbingInstance,
-    probe_probabilities: Optional[Sequence[float]] = None,
-) -> float:
-    """Exact expected value of a permutation policy by outcome recursion.
-
-    States are (position, probed mask, chosen mask); activity branches only
-    on actual probes, and the optional inclusion coin folds in linearly.
-    """
-    n = instance.n
-    limit = EXACT_PERMUTATION_LIMIT if probe_probabilities is None else EXACT_COIN_LIMIT
-    if n > limit:
-        raise CapabilityError(f"exact evaluation capped at {limit} elements here")
-    if n == 0:
-        return 0.0
-    order = _validate_order(order, n)
-    probs = [float(v) for v in instance.probabilities()]
-    weights = [float(v) for v in instance.weights()]
-    coins = None
-    if probe_probabilities is not None:
-        coins = [float(v) for v in probe_probabilities]
-        if len(coins) != n:
-            raise ConstraintError("probe probability vector length mismatch")
-    inner_ok = mask_tables(instance.inner).independent
-    outer_ok = mask_tables(instance.outer).independent
-
-    @lru_cache(maxsize=None)
-    def value(i: int, q: int, s: int) -> float:
-        if i == n:
-            return 0.0
-        e = order[i]
-        bit = 1 << e
-        skip = value(i + 1, q, s)
-        if not (outer_ok[q | bit] and inner_ok[s | bit]):
-            return skip
-        p = probs[e]
-        probe = p * (weights[e] + value(i + 1, q | bit, s | bit))
-        probe += (1.0 - p) * value(i + 1, q | bit, s)
-        if coins is None:
-            return probe
-        c = coins[e]
-        return c * probe + (1.0 - c) * skip
-
-    result = value(0, 0, 0)
-    value.cache_clear()
-    return result
-
-
 def optimal_adaptive(instance: ProbingInstance) -> float:
-    """Optimal adaptive probing value by memoized recursion over (Q, S).
+    """Optimal adaptive probing value by a level DP over reachable (Q, S).
+
+    A state's code gives element e the base-3 digit 0 (unprobed), 1 (probed
+    and inactive) or 2 (chosen); its Q and S masks travel with it while the
+    levels are built. Level L holds the sorted codes reachable with
+    |Q| = L, deduplicated with np.unique, so no dense 3^n array is made; e
+    may be probed where it is unprobed and both mask tables accept Q + e
+    and S + e. The backward sweep takes e in ascending order, finds the
+    successors by searchsorted and keeps the running maximum of
+    p (w + V[c + 2·3^e]) + (1 - p) V[c + 3^e]: the floating-point steps of
+    the memoized recursion over (Q, S) it replaced, so the value keeps its
+    bits.
 
     With deadlines, the clock is forced by the history (t = |Q| + 1) and a
     probe of e is allowed only while t <= d_e; the deadline relaxation used
@@ -192,24 +144,35 @@ def optimal_adaptive(instance: ProbingInstance) -> float:
     inner_ok = mask_tables(instance.inner).independent
     outer_ok = mask_tables(instance.outer).independent
 
-    @lru_cache(maxsize=None)
-    def value(q: int, s: int) -> float:
-        best = 0.0
-        t = q.bit_count() + 1
+    # levels[L] = (sorted codes with |Q| = L, [(e, 3^e, states that may probe e)])
+    levels = []
+    codes = q = s = np.zeros(1, np.int32)  # 3^n < 2^31 while n <= 19
+    while True:
+        moves, grown = [], []
         for e in range(n):
+            if deadlines is not None and len(levels) + 1 > deadlines[e]:
+                continue
             bit = 1 << e
-            if q & bit:
-                continue
-            if deadlines is not None and t > deadlines[e]:
-                continue
-            if not (outer_ok[q | bit] and inner_ok[s | bit]):
-                continue
-            p = probs[e]
-            gain = p * (weights[e] + value(q | bit, s | bit))
-            gain += (1.0 - p) * value(q | bit, s)
-            best = max(best, gain)
-        return best
+            ok = ((q & bit) == 0) & outer_ok[q | bit] & inner_ok[s | bit]
+            if ok.any():
+                step = 3**e
+                moves.append((e, step, ok))
+                c, q_e, s_e = codes[ok], q[ok] | bit, s[ok]
+                grown += [(c + 2 * step, q_e, s_e | bit), (c + step, q_e, s_e)]
+        levels.append((codes, moves))
+        if not grown:
+            break
+        codes, first = np.unique(np.concatenate([g[0] for g in grown]), return_index=True)
+        q, s = (np.concatenate([g[i] for g in grown])[first] for i in (1, 2))
 
-    result = value(0, 0)
-    value.cache_clear()
-    return result
+    # the deepest level has no moves, so value and after are set before use
+    for codes, moves in reversed(levels):
+        best = np.zeros(len(codes))
+        for e, step, ok in moves:
+            c = codes[ok]
+            p = probs[e]
+            gain = p * (weights[e] + value[np.searchsorted(after, c + 2 * step)])
+            gain += (1.0 - p) * value[np.searchsorted(after, c + step)]
+            best[ok] = np.maximum(best[ok], gain)
+        value, after = best, codes
+    return float(value[0])

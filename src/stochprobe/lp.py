@@ -18,7 +18,6 @@ import numpy as np
 from . import simplex
 from .instance import ProbingInstance
 
-RELATIVE_TOL = 1e-7
 DUAL_FEASIBILITY_TOL = 1e-9
 MAX_CUT_ROUNDS = 200
 

@@ -4,13 +4,15 @@ The brute-force oracles pin expected values independently of the
 implementation under test: they enumerate or scan scalar by scalar and share
 no code with the package's fast paths. The reference loops at the end are
 the package's former Monte Carlo loops, greedy scans, recursive path
-enumeration and certificate audits; they reuse its per-trial helpers and
-per-path certificate builder."""
+enumeration, certificate audits and adaptive-optimum recursion, and the
+exact value of a permutation policy; they reuse its per-trial helpers,
+per-path certificate builder and mask tables."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -21,7 +23,12 @@ from stochprobe.auction import (
     SpmMechanism,
     _exact_revenue,
 )
-from stochprobe.constraints import CapabilityError, ConstraintError, ConstraintSystem
+from stochprobe.constraints import (
+    CapabilityError,
+    ConstraintError,
+    ConstraintSystem,
+    mask_tables,
+)
 from stochprobe.crschemes import (
     CrSchemeSpec,
     SchemeVerification,
@@ -30,7 +37,13 @@ from stochprobe.crschemes import (
     resolve_ordered,
     scheme_order,
 )
-from stochprobe.evaluate import Z99, Policy, PolicyValueReport
+from stochprobe.evaluate import (
+    ORACLE_DEADLINE_LIMIT,
+    ORACLE_LIMIT,
+    Z99,
+    Policy,
+    PolicyValueReport,
+)
 from stochprobe.greedy import (
     PATH_ENUMERATION_LIMIT,
     Activity,
@@ -760,3 +773,105 @@ def check_dual_certificates_reference(suite) -> tuple[bool, str]:
         f"worst mixture slack {worst_mix:.2e}"
     )
     return ok, details
+
+
+EXACT_PERMUTATION_LIMIT = 15
+EXACT_COIN_LIMIT = 12
+
+
+def _validate_order(order: Sequence[int], n: int) -> tuple[int, ...]:
+    order = tuple(int(e) for e in order)
+    if sorted(order) != list(range(n)):
+        raise ConstraintError("order must be a permutation of the universe")
+    return order
+
+
+def exact_nonadaptive_value(
+    order: Sequence[int],
+    instance: ProbingInstance,
+    probe_probabilities: Optional[Sequence[float]] = None,
+) -> float:
+    """Exact expected value of a permutation policy by outcome recursion.
+
+    States are (position, probed mask, chosen mask); activity branches only
+    on actual probes, and the optional inclusion coin folds in linearly.
+    """
+    n = instance.n
+    limit = EXACT_PERMUTATION_LIMIT if probe_probabilities is None else EXACT_COIN_LIMIT
+    if n > limit:
+        raise CapabilityError(f"exact evaluation capped at {limit} elements here")
+    if n == 0:
+        return 0.0
+    order = _validate_order(order, n)
+    probs = [float(v) for v in instance.probabilities()]
+    weights = [float(v) for v in instance.weights()]
+    coins = None
+    if probe_probabilities is not None:
+        coins = [float(v) for v in probe_probabilities]
+        if len(coins) != n:
+            raise ConstraintError("probe probability vector length mismatch")
+    inner_ok = mask_tables(instance.inner).independent
+    outer_ok = mask_tables(instance.outer).independent
+
+    @lru_cache(maxsize=None)
+    def value(i: int, q: int, s: int) -> float:
+        if i == n:
+            return 0.0
+        e = order[i]
+        bit = 1 << e
+        skip = value(i + 1, q, s)
+        if not (outer_ok[q | bit] and inner_ok[s | bit]):
+            return skip
+        p = probs[e]
+        probe = p * (weights[e] + value(i + 1, q | bit, s | bit))
+        probe += (1.0 - p) * value(i + 1, q | bit, s)
+        if coins is None:
+            return probe
+        c = coins[e]
+        return c * probe + (1.0 - c) * skip
+
+    result = value(0, 0, 0)
+    value.cache_clear()
+    return result
+
+
+def optimal_adaptive_reference(instance: ProbingInstance) -> float:
+    """The former evaluate.optimal_adaptive: memoized recursion over (Q, S).
+
+    With deadlines, the clock is forced by the history (t = |Q| + 1) and a
+    probe of e is allowed only while t <= d_e; the deadline relaxation used
+    by the greedy policy plays no role here.
+    """
+    n = instance.n
+    deadlines = instance.deadlines() if instance.has_deadlines() else None
+    limit = ORACLE_LIMIT if deadlines is None else ORACLE_DEADLINE_LIMIT
+    if n > limit:
+        raise CapabilityError(f"adaptive optimum capped at {limit} elements here")
+    if n == 0:
+        return 0.0
+    probs = [float(v) for v in instance.probabilities()]
+    weights = [float(v) for v in instance.weights()]
+    inner_ok = mask_tables(instance.inner).independent
+    outer_ok = mask_tables(instance.outer).independent
+
+    @lru_cache(maxsize=None)
+    def value(q: int, s: int) -> float:
+        best = 0.0
+        t = q.bit_count() + 1
+        for e in range(n):
+            bit = 1 << e
+            if q & bit:
+                continue
+            if deadlines is not None and t > deadlines[e]:
+                continue
+            if not (outer_ok[q | bit] and inner_ok[s | bit]):
+                continue
+            p = probs[e]
+            gain = p * (weights[e] + value(q | bit, s | bit))
+            gain += (1.0 - p) * value(q | bit, s)
+            best = max(best, gain)
+        return best
+
+    result = value(0, 0)
+    value.cache_clear()
+    return result

@@ -15,7 +15,7 @@ import pytest
 from stochprobe import acceptance
 from stochprobe.acceptance import THREE_SIGMA_RADII, build_ratio_suite, run_criterion
 from stochprobe.crschemes import CrSchemeSpec
-from stochprobe.evaluate import exact_nonadaptive_value, simulate, permutation_policy
+from stochprobe.evaluate import simulate, permutation_policy
 from stochprobe.fixtures import (
     load_appendix_fixtures,
     probability_ordering_fixture,
@@ -27,6 +27,8 @@ from stochprobe.fixtures import (
     weight_ordering_naive_value,
 )
 from stochprobe.rounding import RoundingConfig, estimate_policy_value
+
+from oracles import exact_nonadaptive_value
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from stochprobe.constraints import CapabilityError, ConstraintError, UniformMatr
 from stochprobe.evaluate import (
     Z99,
     PolicyValueReport,
-    exact_nonadaptive_value,
     optimal_adaptive,
     permutation_policy,
     simulate,
@@ -17,6 +16,8 @@ from stochprobe.evaluate import (
 from stochprobe.fixtures import random_instance
 from stochprobe.greedy import exact_greedy_value, greedy_order, run_greedy
 from stochprobe.instance import make_instance
+
+from oracles import exact_nonadaptive_value, optimal_adaptive_reference
 
 
 def two_element_fixture():
@@ -156,13 +157,60 @@ def test_optimum_dominates_permutation_policies(seed):
     assert opt >= exact_nonadaptive_value(order, inst) - 1e-9
 
 
+def _adaptive_draw(i):
+    """Draw i of the level-DP check: n = i mod 11, deadlines on in alternate
+    blocks of four draws, one or two members per side, and on every third
+    draw one element with p = 0 and one with p = 1."""
+    rng = np.random.default_rng((11, i))
+    n = i % 11
+    # below two elements only graphic draws are defined
+    kinds = {} if n >= 2 else {"inner_kinds": ("graphic",), "outer_kinds": ("graphic",)}
+    inst = random_instance(
+        rng, n, inner_members=1 + i % 2, outer_members=1 + (i // 2) % 2,
+        weighted=i % 3 != 0, with_deadlines=(i // 4) % 2 == 1, **kinds,
+    )
+    if i % 3 != 2 or n == 0:
+        return inst
+    probs = inst.probabilities().copy()
+    probs[rng.integers(n)] = 0.0
+    probs[rng.integers(n)] = 1.0
+    deadlines = list(inst.deadlines()) if inst.has_deadlines() else None
+    return make_instance(inst.weights(), probs, inst.inner, inst.outer, deadlines)
+
+
+def test_optimal_adaptive_keeps_the_recursion_bits():
+    draws = [_adaptive_draw(i) for i in range(132)]
+    assert {inst.n for inst in draws} == set(range(11))
+    assert any(inst.has_deadlines() for inst in draws)
+    assert any(0.0 in inst.probabilities() for inst in draws)
+    assert any(1.0 in inst.probabilities() for inst in draws)
+    for i, inst in enumerate(draws):
+        assert optimal_adaptive(inst).hex() == optimal_adaptive_reference(inst).hex(), i
+
+
+def test_optimal_adaptive_with_nothing_probeable():
+    inst = make_instance([1, 2, 3], [0.5, 0.5, 0.5], UniformMatroid(3, 3), UniformMatroid(3, 0))
+    assert optimal_adaptive(inst) == 0.0
+    assert optimal_adaptive(inst).hex() == optimal_adaptive_reference(inst).hex()
+
+
+def test_optimal_adaptive_loose_twelve_elements():
+    rng = np.random.default_rng(12)
+    weights = np.round(rng.uniform(0.1, 3.0, size=12), 3)
+    probs = np.round(rng.uniform(0.05, 1.0, size=12), 3)
+    inst = make_instance(weights, probs, UniformMatroid(12, 4), UniformMatroid(12, 12))
+    assert optimal_adaptive(inst).hex() == optimal_adaptive_reference(inst).hex()
+
+
 def test_capability_limits():
     big = random_instance(0, n=13, weighted=True)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError) as err:
         optimal_adaptive(big)
+    assert str(err.value) == "adaptive optimum capped at 12 elements here"
     deadline = random_instance(1, n=11, weighted=False, with_deadlines=True)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError) as err:
         optimal_adaptive(deadline)
+    assert str(err.value) == "adaptive optimum capped at 10 elements here"
     wide = random_instance(2, n=16, weighted=True)
     with pytest.raises(CapabilityError):
         exact_nonadaptive_value(list(range(16)), wide)
