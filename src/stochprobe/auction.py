@@ -36,7 +36,7 @@ from .constraints import (
     UniformMatroid,
 )
 from .crschemes import CrSchemeSpec
-from .evaluate import PolicyValueReport, monte_carlo
+from .evaluate import PolicyValueReport, trial_uniforms
 from .instance import ProbingInstance, make_instance
 from .lp import Cut, FractionalSolution, cut_generation, solve_probing_space
 from .rounding import RoundingConfig, round_solution
@@ -398,14 +398,10 @@ def evaluate_spm(
         return PolicyValueReport(_exact_revenue(mechanism, spec), 0.0, 1, "exact")
     if mode != "monte_carlo":
         raise ConstraintError(f"unknown mode {mode!r}")
+    blocks = trial_uniforms(seed, trials, spec.n)
     cdfs = [np.cumsum(d) for d in spec.distributions]
 
-    def draw(rng: np.random.Generator) -> float:
-        draws = rng.random(spec.n)
-        sampled = [
-            min(int(np.searchsorted(cdfs[i], draws[i], side="right")), spec.B)
-            for i in range(spec.n)
-        ]
+    def revenue(sampled: list[int]) -> float:
         checker = spec.feasibility.checker()
         revenue = 0.0
         for agent, price in mechanism.offers:
@@ -416,7 +412,16 @@ def evaluate_spm(
                 revenue += price
         return revenue
 
-    return monte_carlo(draw, trials, seed)
+    def valuations(block: np.ndarray) -> list[list[int]]:
+        # agent i's value is the first c whose cdf exceeds its uniform, capped at B
+        columns = [
+            np.minimum(np.searchsorted(cdf, block[:, i], side="right"), spec.B)
+            for i, cdf in enumerate(cdfs)
+        ]
+        return np.stack(columns, axis=1).tolist()
+
+    values = (revenue(sampled) for block in blocks for sampled in valuations(block))
+    return PolicyValueReport.from_samples(np.fromiter(values, float, count=trials))
 
 
 def _exact_revenue(mechanism: SpmMechanism, spec: AuctionSpec) -> float:

@@ -40,7 +40,7 @@ from .constraints import (
     ConstraintSystem,
     PartitionMatroid,
 )
-from .evaluate import THREE_SIGMA_RADII, binomial_radius, trial_rngs
+from .evaluate import THREE_SIGMA_RADII, binomial_radius, trial_rngs, trial_uniforms
 
 ORDER_POLICIES = ("by-index", "by-weight-desc", "random")
 KINDS = ("ordered_ksystem", "partition_random_choice")
@@ -133,6 +133,17 @@ def scheme_order(
     return tuple(int(e) for e in rng.permutation(n))
 
 
+def fixed_scheme_order(
+    spec: CrSchemeSpec,
+    system: ConstraintSystem,
+    weights: Optional[Sequence[float]] = None,
+) -> Optional[tuple[int, ...]]:
+    """The scheme's scan order when drawing it reads no randomness, else None."""
+    if spec.kind != "ordered_ksystem" or spec.order_policy == "random":
+        return None
+    return scheme_order(spec, system, None, weights)
+
+
 def resolve(
     spec: CrSchemeSpec,
     system: ConstraintSystem,
@@ -216,24 +227,30 @@ def verify_scheme(
     (their guarantee is vacuous). Deterministic given (seed, trials) and
     safe to partition across workers by trial index.
     """
-    rngs = trial_rngs(seed, trials)
+    n = system.universe_size
+    order = fixed_scheme_order(spec, system, weights)
+    streams = trial_rngs(seed, trials) if order is None else trial_uniforms(seed, trials, n)
     z = np.asarray(z, dtype=float)
     witness = system.separate(z)
     if witness is not None:
         raise ConstraintError(
             f"z lies outside the rank polytope (violated on {sorted(witness.members)})"
         )
-    n = system.universe_size
     inclusion = spec.b * z
     sampled = np.zeros(n, dtype=np.int64)
-    kept_count = np.zeros(n, dtype=np.int64)
-    for rng in rngs:
-        mask = rng.random(n) < inclusion
-        i_set = [int(e) for e in np.flatnonzero(mask)]
-        kept = resolve(spec, system, i_set, rng, weights)
-        sampled[mask] += 1
-        for e in kept:
-            kept_count[e] += 1
+    if order is None:
+        masks = ((rng.random(n) < inclusion, rng) for rng in streams)
+    else:
+        masks = ((mask, None) for block in streams for mask in block < inclusion)
+    kept = []
+    for mask, rng in masks:
+        i_set = np.flatnonzero(mask).tolist()
+        sampled += mask
+        if rng is None:
+            kept += resolve_ordered(system, order, i_set)
+        else:
+            kept += resolve(spec, system, i_set, rng, weights)
+    kept_count = np.bincount(np.array(kept, dtype=np.int64), minlength=n)
     estimates = []
     radii = []
     for e in range(n):

@@ -1,7 +1,10 @@
 """Policy evaluation: Monte Carlo and the adaptive optimum.
 
-Every Monte Carlo trial in the package takes its generator from trial_rngs,
-and every confidence radius comes from from_samples or binomial_radius.
+Trial t of a Monte Carlo estimate with seed s draws from the stream of
+default_rng((s, t)). Estimators whose draws are all random() read them from
+trial_uniforms, which computes those doubles for a block of trials at once;
+the rest take the generator itself from trial_rngs. Every confidence radius
+comes from from_samples or binomial_radius.
 
 Policies are callables (instance, rng) -> realized value for one draw of the
 element activities. Permutation policies probe in a fixed order whenever
@@ -12,7 +15,9 @@ are shaped.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -67,6 +72,143 @@ def trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
     if trials < 1:
         raise ConstraintError("trials must be at least 1")
     return (np.random.default_rng((seed, t)) for t in range(trials))
+
+
+# numpy's SeedSequence hash-mix (after O'Neill's seed_seq_fe), in uint32
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (O'Neill 2014)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# trials seeded together, and doubles per block of rows: both bound the
+# temporaries to a few hundred kB
+SEED_TRIALS = 1 << 12
+BLOCK_DRAWS = 1 << 12
+
+
+def trial_uniforms(seed: int, trials: int, k: int) -> Iterator[np.ndarray]:
+    """Blocks of rows, row t holding default_rng((seed, t)).random(k), t < trials.
+
+    The doubles are those numpy gives, bit for bit: the SeedSequence of the
+    entropy (seed, t) is mixed as numpy mixes it and seeds PCG64, and draw
+    j = 1..k is the XSL-RR output of the jumped-ahead LCG state
+    A^(j+1) u + (1 + A + ... + A^j) inc (see _pcg64_seed), computed for all
+    trials and draws at once in uint64 halves. A block holds at most
+    BLOCK_DRAWS doubles (at least one row). numpy checks the seed on the
+    first block, so a bad one fails as it does in default_rng. Trial
+    indices stay below 2^32, one entropy word each.
+    """
+    if trials < 1:
+        raise ConstraintError("trials must be at least 1")
+    return _uniform_blocks(seed, trials, k)
+
+
+def _uniform_blocks(seed: int, trials: int, k: int) -> Iterator[np.ndarray]:
+    np.random.SeedSequence((seed, 0))  # numpy's own checks and errors
+    seed = operator.index(seed)
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    rows = max(1, BLOCK_DRAWS // max(k, 1))
+    for start in range(0, trials, SEED_TRIALS):
+        t = np.arange(start, min(start + SEED_TRIALS, trials), dtype=np.uint32)
+        u, inc = _pcg64_seed(_seed_pool(words, t))
+        for r in range(0, len(t), rows):
+            yield _pcg64_uniforms(u[:, r : r + rows], inc[:, r : r + rows], k)
+
+
+def _seed_pool(words: list[int], t: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence((seed, t)).pool for each t, seed given by its uint32 words."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    entropy = [np.full(1, w, np.uint32) for w in words] + [t]
+    entropy += [np.zeros(1, np.uint32)] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+@functools.lru_cache(maxsize=64)
+def _pcg64_jumps(k: int) -> tuple[np.ndarray, ...]:
+    """For draws j = 1..k, A^(j+1) and 1 + A + ... + A^j as uint64 halves."""
+    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+    power, total, out = _PCG_MULT, 1, []
+    for _ in range(k):
+        total = (total + power) & mask128
+        power = power * _PCG_MULT & mask128
+        out.append([power >> 64, power & mask64, total >> 64, total & mask64])
+    return tuple(np.array(out, np.uint64).reshape(k, 4).T)
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit partial products."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg64_seed(pool: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, u = initstate + inc and inc as rows (high, low) of uint64.
+
+    pcg64_set_seed takes initstate and initseq from generate_state(4,
+    uint64), sets inc = 2 initseq + 1, steps from 0, adds initstate and
+    steps again: s_0 = A u + inc, so the state of draw j is
+    A^(j+1) u + (1 + A + ... + A^j) inc.
+    """
+    hash_const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    high0, low0, high1, low1 = (words[i] | (words[i + 1] << 32) for i in range(0, 8, 2))
+    inc_lo = (low1 << 1) | 1
+    inc_hi = (high1 << 1) | (low1 >> 63)
+    u_lo = low0 + inc_lo
+    u_hi = high0 + inc_hi + (u_lo < inc_lo)
+    return np.stack([u_hi, u_lo]), np.stack([inc_hi, inc_lo])
+
+
+def _pcg64_uniforms(u: np.ndarray, inc: np.ndarray, k: int) -> np.ndarray:
+    """The first k random() doubles of each trial's seeded PCG64."""
+    (u_hi, u_lo), (inc_hi, inc_lo) = u[:, :, None], inc[:, :, None]
+    power_hi, power_lo, total_hi, total_lo = _pcg64_jumps(k)
+    lo = u_lo * power_lo
+    hi = _mulhi64(u_lo, power_lo)
+    hi += u_lo * power_hi
+    hi += u_hi * power_lo
+    lo_b = inc_lo * total_lo
+    hi += _mulhi64(inc_lo, total_lo)
+    hi += inc_lo * total_hi
+    hi += inc_hi * total_lo
+    lo += lo_b
+    hi += lo < lo_b  # carry out of the low halves
+    # XSL-RR output, then next_double's 53 high bits
+    x = hi ^ lo
+    rot = hi >> 58
+    out = (x >> rot) | (x << ((64 - rot) & 63))
+    return (out >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
 def monte_carlo(
@@ -134,6 +276,8 @@ def optimal_adaptive(instance: ProbingInstance) -> float:
     """
     n = instance.n
     deadlines = instance.deadlines() if instance.has_deadlines() else None
+    if deadlines is not None and None in deadlines:
+        raise ConstraintError("all elements need deadlines for the deadline clock")
     limit = ORACLE_LIMIT if deadlines is None else ORACLE_DEADLINE_LIMIT
     if n > limit:
         raise CapabilityError(f"adaptive optimum capped at {limit} elements here")

@@ -24,6 +24,7 @@ import numpy as np
 
 from .auction import AuctionSpec
 from .constraints import (
+    ConstraintError,
     ConstraintSystem,
     GraphicMatroid,
     IntersectionSystem,
@@ -53,8 +54,15 @@ MATROID_KINDS = ("uniform", "partition", "laminar", "graphic")
 def random_matroid(
     rng: np.random.Generator, n: int, kinds: Sequence[str] = MATROID_KINDS
 ) -> ConstraintSystem:
-    """One loop-free matroid on n >= 2 elements, drawn from the given kinds."""
+    """One loop-free matroid on n elements, drawn from the given kinds.
+
+    Partition and laminar draws need n >= 2 and uniform ones n >= 1; a
+    smaller n fails with ConstraintError once the kind is drawn.
+    """
     kind = rng.choice(tuple(kinds))
+    least = {"uniform": 1, "partition": 2, "laminar": 2}.get(str(kind), 0)
+    if n < least:
+        raise ConstraintError(f"a random {kind} matroid needs n >= {least}, got {n}")
     if kind == "uniform":
         return UniformMatroid(n, int(rng.integers(1, n + 1)))
     if kind == "partition":

@@ -11,19 +11,20 @@ is at least that fraction of the LP objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .constraints import CapabilityError, ConstraintError
 from .crschemes import (
     CrSchemeSpec,
+    fixed_scheme_order,
     resolve,
     resolve_ordered,
     scheme_order,
     unit_partition,
 )
-from .evaluate import PolicyValueReport, monte_carlo
+from .evaluate import PolicyValueReport, monte_carlo, trial_uniforms
 from .greedy import Activity, _activity_fn
 from .instance import ProbingInstance
 from .lp import FractionalSolution, solve_probing_lp
@@ -103,16 +104,41 @@ def round_solution(
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    y = _y_of(solution, instance.n)
+    sequence, _ = _rounding_draw(instance, _y_of(solution, instance.n), config)
+    return NonAdaptivePolicy(probe_sequence=sequence(rng.random, rng))
+
+
+def _rounding_draw(
+    instance: ProbingInstance, y: np.ndarray, config: RoundingConfig
+) -> tuple[Callable[..., tuple[int, ...]], Optional[int]]:
+    """round_solution's draw with its set-up done once, and its draw count.
+
+    The draw is sequence(random, rng): random() returns its uniforms in
+    turn, and rng, its generator, is read only by a random scan order or the
+    per-part random choice. With both scan orders fixed, the draw reads no
+    rng and the count bounds the uniforms that it and execute read
+    together: one per element with y_e > 0, and one coin per candidate.
+    Otherwise the count is None.
+    """
     weights = instance.weights()
-    sampled = [
-        e for e in range(instance.n)
-        if y[e] > 0.0 and rng.random() < config.b * y[e]
-    ]
-    candidates = resolve(config.outer_scheme, instance.outer, sampled, rng, weights)
-    sigma = scheme_order(config.inner_scheme, instance.inner, rng, weights)
-    sequence = tuple(e for e in sigma if e in candidates)
-    return NonAdaptivePolicy(probe_sequence=sequence)
+    rates = [(e, config.b * y[e]) for e in range(instance.n) if y[e] > 0.0]
+    outer, inner = config.outer_scheme, config.inner_scheme
+    outer_order = fixed_scheme_order(outer, instance.outer, weights)
+    inner_order = fixed_scheme_order(inner, instance.inner, weights)
+
+    def sequence(random: Callable[[], float], rng: Optional[np.random.Generator]):
+        sampled = [e for e, rate in rates if random() < rate]
+        if outer_order is None:
+            candidates = resolve(outer, instance.outer, sampled, rng, weights)
+        else:
+            candidates = resolve_ordered(instance.outer, outer_order, sampled)
+        sigma = inner_order
+        if sigma is None:
+            sigma = scheme_order(inner, instance.inner, rng, weights)
+        return tuple(e for e in sigma if e in candidates)
+
+    fixed = outer_order is not None and inner_order is not None
+    return sequence, 2 * len(rates) if fixed else None
 
 
 def execute(
@@ -122,9 +148,15 @@ def execute(
 ) -> frozenset[int]:
     """Probe the sequence under the inner constraint; return the chosen set."""
     draw = _activity_fn(activity, instance.probabilities())
+    return _probe(policy.probe_sequence, instance, draw)
+
+
+def _probe(
+    sequence: Sequence[int], instance: ProbingInstance, draw: Callable[[int], bool]
+) -> frozenset[int]:
     checker = instance.inner.checker()
     chosen = set()
-    for e in policy.probe_sequence:
+    for e in sequence:
         if not checker.can_add(e):
             continue
         if draw(e):
@@ -140,7 +172,12 @@ def estimate_policy_value(
     seed: int,
     solution: Optional[SolutionLike] = None,
 ) -> PolicyValueReport:
-    """Mean w(S) over independent (sample, resolution, activity) draws."""
+    """Mean w(S) over independent (sample, resolution, activity) draws.
+
+    With fixed scan orders each trial reads its uniforms from
+    trial_uniforms, else its generator from trial_rngs; either way trial t
+    sees the stream of default_rng((seed, t)).
+    """
     if solution is None:
         solution = solve_probing_lp(instance)
     y = _y_of(solution, instance.n)
@@ -152,12 +189,18 @@ def estimate_policy_value(
             f"solution outside the relaxation (violated on {sorted(witness.members)})"
         )
     weights = instance.weights()
+    probs = instance.probabilities()
+    sequence, draws = _rounding_draw(instance, y, config)
 
-    def draw(rng: np.random.Generator) -> float:
-        chosen = execute(round_solution(instance, y, config, rng), instance, rng)
+    def value(random: Callable[[], float], rng=None) -> float:
+        chosen = _probe(sequence(random, rng), instance, lambda e: random() < probs[e])
         return sum(weights[e] for e in chosen)
 
-    return monte_carlo(draw, trials, seed)
+    if draws is None:
+        return monte_carlo(lambda rng: value(rng.random, rng), trials, seed)
+    rows = (row for block in trial_uniforms(seed, trials, draws) for row in block.tolist())
+    values = (value(iter(row).__next__) for row in rows)
+    return PolicyValueReport.from_samples(np.fromiter(values, float, count=trials))
 
 
 def exact_chosen_marginals(

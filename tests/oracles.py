@@ -56,11 +56,10 @@ from stochprobe.greedy import (
 from stochprobe.instance import ProbingInstance
 from stochprobe.lp import DualCertificate, check_dual, solve_probing_lp
 from stochprobe.rounding import (
+    NonAdaptivePolicy,
     RoundingConfig,
     SolutionLike,
     _y_of,
-    execute,
-    round_solution,
 )
 
 
@@ -384,7 +383,9 @@ def bland_reference(c, a, b, max_iterations: int = 50_000):
 # package routed them through evaluate.trial_rngs and evaluate.monte_carlo
 # and merged the two scans into greedy._run. Copied verbatim (only renamed)
 # so that every report can be checked for equality against them; they call
-# the package's per-trial helpers, which that change left alone.
+# the package's per-trial helpers, which that change left alone. The
+# rounding draw and its execution are kept here too, as they stood before
+# estimate_policy_value hoisted their set-up and read batched uniforms.
 # ---------------------------------------------------------------------------
 
 
@@ -428,10 +429,56 @@ def estimate_policy_value_reference(
     values = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        policy = round_solution(instance, y, config, rng)
-        chosen = execute(policy, instance, rng)
+        policy = round_solution_reference(instance, y, config, rng)
+        chosen = execute_reference(policy, instance, rng)
         values[t] = sum(weights[e] for e in chosen)
     return PolicyValueReport.from_samples(values)
+
+
+def round_solution_reference(
+    instance: ProbingInstance,
+    solution: SolutionLike,
+    config: RoundingConfig,
+    rng: Optional[np.random.Generator] = None,
+) -> NonAdaptivePolicy:
+    """One rounding draw: sample at b*y, resolve outward, order inward.
+
+    Elements with y_e = 0 consume no randomness, so streams stay aligned
+    across edits that only add or remove zero-mass elements.
+
+    Runs for any config, even one whose claimed guarantee would be vacuous
+    (say b = 1 with an ordered inner scheme); only guarantee() rejects those.
+    """
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    y = _y_of(solution, instance.n)
+    weights = instance.weights()
+    sampled = [
+        e for e in range(instance.n)
+        if y[e] > 0.0 and rng.random() < config.b * y[e]
+    ]
+    candidates = resolve(config.outer_scheme, instance.outer, sampled, rng, weights)
+    sigma = scheme_order(config.inner_scheme, instance.inner, rng, weights)
+    sequence = tuple(e for e in sigma if e in candidates)
+    return NonAdaptivePolicy(probe_sequence=sequence)
+
+
+def execute_reference(
+    policy: NonAdaptivePolicy,
+    instance: ProbingInstance,
+    activity: Activity,
+) -> frozenset[int]:
+    """Probe the sequence under the inner constraint; return the chosen set."""
+    draw = _activity_fn(activity, instance.probabilities())
+    checker = instance.inner.checker()
+    chosen = set()
+    for e in policy.probe_sequence:
+        if not checker.can_add(e):
+            continue
+        if draw(e):
+            checker.add(e)
+            chosen.add(e)
+    return frozenset(chosen)
 
 
 def verify_scheme_reference(

@@ -15,7 +15,7 @@ import pytest
 from stochprobe import acceptance
 from stochprobe.acceptance import THREE_SIGMA_RADII, build_ratio_suite, run_criterion
 from stochprobe.crschemes import CrSchemeSpec
-from stochprobe.evaluate import simulate, permutation_policy
+from stochprobe.evaluate import Z99, simulate, permutation_policy
 from stochprobe.fixtures import (
     load_appendix_fixtures,
     probability_ordering_fixture,
@@ -26,7 +26,13 @@ from stochprobe.fixtures import (
     weight_ordering_fixture,
     weight_ordering_naive_value,
 )
-from stochprobe.rounding import RoundingConfig, estimate_policy_value
+from stochprobe.lp import solve_probing_lp
+from stochprobe.rounding import (
+    RoundingConfig,
+    default_config,
+    estimate_policy_value,
+    exact_chosen_marginals,
+)
 
 from oracles import exact_nonadaptive_value
 
@@ -63,6 +69,27 @@ def test_criterion_5_scheme_retention():
 
 def test_criterion_6_rounding_guarantee():
     assert _report(run_criterion(6, seed=0)).passed
+
+
+def test_criterion_6_estimates_agree_with_exact_values():
+    """Criterion 6's Monte Carlo means against the rounded policy's exact
+    value, the sum of w_e Pr[e chosen] over the enumerated marginals: each
+    lies within 4 standard errors, at the criterion's seeds and trials."""
+    worst = 0.0
+    for i in range(acceptance.WEIGHTED_COUNT):
+        instance, _, _ = acceptance._weighted_fixture(i)
+        solution = solve_probing_lp(instance)
+        config = default_config(instance, seed=0)
+        marginals = exact_chosen_marginals(instance, config, solution)
+        exact = float(np.dot(instance.weights(), marginals))
+        report = estimate_policy_value(
+            instance, config, acceptance.VALUE_TRIALS, i, solution=solution
+        )
+        standard_error = report.radius / Z99
+        assert standard_error > 0.0
+        worst = max(worst, abs(report.mean - exact) / standard_error)
+        assert abs(report.mean - exact) <= 4.0 * standard_error, (i, report, exact)
+    print(f"worst gap {worst:.2f} standard errors")
 
 
 def test_criterion_7_corollary_constant():

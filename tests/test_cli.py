@@ -127,6 +127,17 @@ def test_greedy_deadline_rejects_plain_instances(capsys):
     assert code == 2
 
 
+def test_oracle_with_some_deadlines_exits_2(capsys, tmp_path):
+    doc = json.loads(open(WEIGHTED).read())
+    doc["elements"][0]["deadline"] = 2
+    path = tmp_path / "some_deadlines.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["oracle", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "all elements need deadlines" in captured.err
+
+
 def test_oracle_provenance(capsys):
     code, out = run_cli(capsys, "oracle", "--instance", WEIGHTED)
     assert code == 0

@@ -218,6 +218,20 @@ def test_capability_limits():
         exact_nonadaptive_value(list(range(13)), random_instance(3, n=13), [0.5] * 13)
 
 
+def test_optimal_adaptive_needs_every_deadline_or_none():
+    base = random_instance(4, n=5, weighted=True)
+    for deadlines in ([2, None, None, None, None], [None, 1, 3, 3, 5]):
+        partial = make_instance(
+            base.weights(), base.probabilities(), base.inner, base.outer, deadlines
+        )
+        with pytest.raises(ConstraintError, match="all elements need deadlines"):
+            optimal_adaptive(partial)
+    full = make_instance(
+        base.weights(), base.probabilities(), base.inner, base.outer, [2, 1, 3, 3, 5]
+    )
+    assert optimal_adaptive(full).hex() == optimal_adaptive_reference(full).hex()
+
+
 def test_trials_must_be_positive():
     with pytest.raises(ConstraintError):
         simulate(greedy_policy, two_element_fixture(), trials=0, seed=0)

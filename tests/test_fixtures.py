@@ -7,12 +7,14 @@ import itertools
 import numpy as np
 import pytest
 
+from stochprobe.constraints import ConstraintError
 from stochprobe.fixtures import (
     direct_edge_unblocked_probability,
     load_appendix_fixtures,
     probability_ordering_fixture,
     product_ordering_fixture,
     random_instance,
+    random_matroid,
     spm_matching_fixture,
     spm_uniform_fixture,
     weight_ordering_fixture,
@@ -24,6 +26,25 @@ def test_random_instance_is_reproducible():
     a = random_instance(99, n=6, weighted=True, with_deadlines=True)
     b = random_instance(99, n=6, weighted=True, with_deadlines=True)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "kind,least", [("uniform", 1), ("partition", 2), ("laminar", 2), ("graphic", 0)]
+)
+def test_random_matroid_names_its_least_size(kind, least):
+    for n in range(least):
+        rng = np.random.default_rng(n)
+        with pytest.raises(ConstraintError) as err:
+            random_matroid(rng, n, kinds=(kind,))
+        assert str(err.value) == f"a random {kind} matroid needs n >= {least}, got {n}"
+        # it fails right after drawing the kind, before any draw of its own
+        after_kind = np.random.default_rng(n)
+        after_kind.choice((kind,))
+        assert rng.bit_generator.state == after_kind.bit_generator.state
+    for n in range(least, least + 3):
+        system = random_matroid(np.random.default_rng(n), n, kinds=(kind,))
+        assert system.universe_size == n
+        assert all(system.is_independent({e}) for e in range(n))
 
 
 def test_random_systems_are_loop_free():

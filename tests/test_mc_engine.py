@@ -1,8 +1,10 @@
 """The Monte Carlo engine against the per-trial loops it replaced.
 
 Every estimator report must equal, with == and as pickled bytes, the report
-of the loop kept in oracles.py, at 1, 2 and 300 trials: the engine moves
-where the trial streams are made, not which numbers they give.
+of the loop kept in oracles.py, at 1, 2 and 300 trials and past one block
+of trial_uniforms: the engine moves where the trial streams are made, not
+which numbers they give. trial_uniforms itself must give default_rng's
+doubles byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import pytest
 
 from oracles import (
     estimate_policy_value_reference,
+    execute_reference,
+    round_solution_reference,
     evaluate_spm_reference,
     run_greedy_deadline_reference,
     run_greedy_reference,
@@ -26,12 +30,15 @@ from stochprobe.auction import build_spm, evaluate_spm, solve_lp_p
 from stochprobe.constraints import ConstraintError, PartitionMatroid
 from stochprobe.crschemes import CrSchemeSpec, verify_monotonicity, verify_scheme
 from stochprobe.evaluate import (
+    BLOCK_DRAWS,
+    SEED_TRIALS,
     Z99,
     binomial_radius,
     monte_carlo,
     permutation_policy,
     simulate,
     trial_rngs,
+    trial_uniforms,
 )
 from stochprobe.fixtures import (
     random_instance,
@@ -94,6 +101,57 @@ def test_trial_rngs_are_the_per_trial_streams():
         expected = np.random.default_rng((11, t)).random(4)
         assert rng.random(4).tobytes() == expected.tobytes()
     assert len(list(trial_rngs(11, 5))) == 5
+
+
+# seeds of one to six uint32 words; from 2^96 on the entropy (seed, t) has
+# more than the four words of numpy's pool and is mixed in a second pass
+UNIFORM_SEEDS = (
+    0, 1, 7, 12345, 2**31 - 1, 2**32 + 5, 2**40 + 3,
+    2**96, 2**96 + 12345, 2**128 - 1, 2**160 + 7,
+)
+
+
+def uniform_rows(seed: int, trials: int, k: int) -> np.ndarray:
+    blocks = list(trial_uniforms(seed, trials, k))
+    for block in blocks:
+        assert block.dtype == np.float64 and block.shape[1] == k
+        assert len(block) >= 1 and (len(block) == 1 or block.size <= BLOCK_DRAWS)
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("seed", UNIFORM_SEEDS)
+def test_trial_uniforms_are_default_rng_bytes(seed):
+    for trials in TRIALS:
+        for k in range(21):
+            expected = [np.random.default_rng((seed, t)).random(k) for t in range(trials)]
+            got = uniform_rows(seed, trials, k)
+            assert got.shape == (trials, k)
+            assert got.tobytes() == np.array(expected).reshape(trials, k).tobytes()
+
+
+def test_trial_uniforms_cross_block_boundaries():
+    # rows per block are BLOCK_DRAWS // k; trials are seeded SEED_TRIALS at a time
+    cases = ((20, 2 * BLOCK_DRAWS // 20 + 3), (1, SEED_TRIALS + 5), (BLOCK_DRAWS + 7, 3))
+    for k, trials in cases:
+        assert len(list(trial_uniforms(5, trials, k))) >= 2
+        expected = [np.random.default_rng((5, t)).random(k) for t in range(trials)]
+        assert uniform_rows(5, trials, k).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5])
+def test_trial_uniforms_reject_seeds_as_default_rng_does(seed):
+    with pytest.raises((ValueError, TypeError)) as numpy_error:
+        np.random.default_rng((seed, 0))
+    blocks = trial_uniforms(seed, 3, 4)  # checked on the first block, as trial_rngs does
+    with pytest.raises(numpy_error.type) as ours:
+        next(blocks)
+    assert str(ours.value) == str(numpy_error.value)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trial_uniforms_reject_counts_below_one_before_the_seed(trials):
+    with pytest.raises(ConstraintError, match="trials must be at least 1"):
+        trial_uniforms(-1, trials, 4)
 
 
 def test_monte_carlo_reports_the_draws():
@@ -249,6 +307,143 @@ def test_evaluate_spm_matches_loop(fixture, trials):
                 evaluate_spm(mechanism, spec, mode=mode, trials=trials, seed=7),
                 evaluate_spm_reference(mechanism, spec, mode=mode, trials=trials, seed=7),
             )
+
+
+# ---------------------------------------------------------------------------
+# batched uniforms: large counter systems, edge probabilities, long runs
+# ---------------------------------------------------------------------------
+
+COUNTER_PAIRS = (("partition", "laminar"), ("laminar", "uniform"), ("uniform", "partition"))
+
+
+def edge_instance(inner: str, outer: str, seed: int, n: int = 80):
+    """Counter systems on n elements, some with p = 0 and some with p = 1,
+    and a point of the relaxation with y_e = 0 on every fifth element.
+
+    The point averages the sparse LP optimum with a constant feasible point,
+    so that most elements carry mass; lowering p or y keeps it feasible.
+    """
+    base = random_instance(seed, n, inner_kinds=(inner,), outer_kinds=(outer,))
+    probs = base.probabilities().copy()
+    probs[3::11] = 1.0
+    instance = make_instance(base.weights(), probs, base.inner, base.outer)
+    level = 1.0
+    while instance.outer.separate(np.full(n, level)) or instance.inner.separate(probs * level):
+        level /= 2
+    y = (np.array(solve_probing_lp(instance).y) + level) / 2
+    probs[::7] = 0.0
+    y[::5] = 0.0
+    return make_instance(base.weights(), probs, base.inner, base.outer), y
+
+
+def reference_chosen_sets(instance, config, y, trials, seed):
+    """The chosen set of each trial, drawn by the reference loop's helpers."""
+    chosen = []
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        policy = round_solution_reference(instance, y, config, rng)
+        chosen.append(execute_reference(policy, instance, rng))
+    return chosen
+
+
+@pytest.mark.parametrize("trials", TRIALS)
+@pytest.mark.parametrize("inner,outer", COUNTER_PAIRS)
+def test_estimate_policy_value_matches_loop_on_large_edge_instances(inner, outer, trials):
+    instance, y = edge_instance(inner, outer, seed=80)
+    probs = instance.probabilities()
+    positive = y > 0.0
+    assert (probs == 0.0).any() and (probs == 1.0).any() and not positive.all()
+    assert (positive & (probs == 0.0)).any() and (positive & (probs == 1.0)).any()
+    configs = [default_config(instance)] + list(rounding_configs(0.05))
+    for config in configs:
+        assert_same(
+            estimate_policy_value(instance, config, trials, 12, solution=y),
+            estimate_policy_value_reference(instance, config, trials, 12, solution=y),
+        )
+
+
+def test_large_edge_instances_keep_each_trial_value():
+    """A report can absorb a last-bit change in one trial's value, so here
+    each single-trial report, the value itself, must match. w(S) sums over a
+    frozenset whose iteration order, for elements past the hash table of a
+    small set, depends on how the set was built; some of these trials reach
+    sets whose sum changes bits with that order."""
+    resummed = 0
+    for inner, outer in COUNTER_PAIRS:
+        instance, y = edge_instance(inner, outer, seed=80)
+        weights = instance.weights()
+        config = default_config(instance)
+        for seed in range(100):
+            assert_same(
+                estimate_policy_value(instance, config, 1, seed, solution=y),
+                estimate_policy_value_reference(instance, config, 1, seed, solution=y),
+            )
+            (s,) = reference_chosen_sets(instance, config, y, 1, seed)
+            resummed += sum(weights[e] for e in s) != sum(weights[e] for e in sorted(s))
+    assert resummed > 0
+
+
+@pytest.mark.parametrize("trials", TRIALS)
+@pytest.mark.parametrize("inner,outer", COUNTER_PAIRS)
+def test_verify_scheme_matches_loop_on_large_edge_instances(inner, outer, trials):
+    instance, y = edge_instance(inner, outer, seed=81)
+    weights = instance.weights()
+    for system, z in ((instance.outer, y), (instance.inner, instance.probabilities() * y)):
+        b = 0.9 / system.k_parameter()
+        for order in ORDERS:
+            spec = CrSchemeSpec("ordered_ksystem", b, order_policy=order)
+            assert_same(
+                verify_scheme(spec, system, z, trials, 13, weights=weights),
+                verify_scheme_reference(spec, system, z, trials, 13, weights=weights),
+            )
+
+
+def test_estimators_match_loops_past_one_seed_block():
+    trials = SEED_TRIALS + 3
+    instance = instance_of("intersection", seed=90)
+    solution = solve_probing_lp(instance)
+    config = default_config(instance)
+    assert_same(
+        estimate_policy_value(instance, config, trials, 14, solution=solution),
+        estimate_policy_value_reference(instance, config, trials, 14, solution=solution),
+    )
+    spec = config.outer_scheme
+    args = (spec, instance.outer, solution.y, trials, 15)
+    assert_same(verify_scheme(*args), verify_scheme_reference(*args))
+    auction = spm_matching_fixture(seed=4)
+    mechanism = build_spm(auction, seed=0, solution=solve_lp_p(auction))
+    assert_same(
+        evaluate_spm(mechanism, auction, mode="monte_carlo", trials=trials, seed=16),
+        evaluate_spm_reference(mechanism, auction, mode="monte_carlo", trials=trials, seed=16),
+    )
+
+
+def test_batched_estimators_keep_their_input_checks():
+    instance, y = edge_instance("uniform", "partition", seed=82, n=10)
+    config = default_config(instance)
+    outside = np.ones(instance.n)
+    with pytest.raises(ConstraintError, match="outside the relaxation"):
+        estimate_policy_value(instance, config, 10, 0, solution=outside)
+    with pytest.raises(ConstraintError, match="trials must be at least 1"):
+        estimate_policy_value(instance, config, 0, 0, solution=y)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        estimate_policy_value(instance, config, 10, -1, solution=y)
+    spec = config.outer_scheme
+    with pytest.raises(ConstraintError, match="trials must be at least 1"):
+        verify_scheme(spec, instance.outer, outside, 0, 0)
+    with pytest.raises(ConstraintError, match="outside the rank polytope"):
+        verify_scheme(spec, instance.outer, outside, 10, -1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        verify_scheme(spec, instance.outer, y, 10, -1)
+    by_weight = CrSchemeSpec("ordered_ksystem", spec.b, order_policy="by-weight-desc")
+    with pytest.raises(ConstraintError, match="needs weights"):
+        verify_scheme(by_weight, instance.outer, y, 10, 0)
+    auction = spm_uniform_fixture(seed=5)
+    mechanism = build_spm(auction, seed=0, solution=solve_lp_p(auction))
+    with pytest.raises(ConstraintError, match="trials must be at least 1"):
+        evaluate_spm(mechanism, auction, mode="monte_carlo", trials=0, seed=-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        evaluate_spm(mechanism, auction, mode="monte_carlo", trials=5, seed=-1)
 
 
 # ---------------------------------------------------------------------------
