@@ -65,6 +65,8 @@ class AuctionSpec:
         if width < 1 or any(len(d) != width for d in dists):
             raise ConstraintError("agents must share one value range 0..B")
         for i, dist in enumerate(dists):
+            if not np.isfinite(dist).all():
+                raise ConstraintError(f"agent {i} has a non-finite mass")
             if any(m < 0 for m in dist):
                 raise ConstraintError(f"agent {i} has a negative mass")
             total = sum(dist)

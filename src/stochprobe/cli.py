@@ -373,6 +373,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code or 0
         return 2 if code not in (0, 2) else int(code)
     try:
+        # every command has --seed (see _add_common); the library leaves a
+        # negative one to numpy's ValueError
+        if args.seed is not None and args.seed < 0:
+            raise ConstraintError("--seed must be non-negative")
         report, code = args.handler(args, argv)
     except (ParseError, ConstraintError, CapabilityError, LpEngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,13 @@
 """Policy evaluation: Monte Carlo and the adaptive optimum.
 
 Trial t of a Monte Carlo estimate with seed s draws from the stream of
-default_rng((s, t)). Estimators whose draws are all random() read them from
-trial_uniforms, which computes those doubles for a block of trials at once;
-the rest take the generator itself from trial_rngs. Every confidence radius
-comes from from_samples or binomial_radius.
+default_rng((s, t)). Both sources run numpy's SeedSequence hash-mix for a
+block of trials at once (_seed_blocks). Estimators whose draws are all
+random() read them from trial_uniforms, which computes those doubles for
+the block; the rest, simulate with its arbitrary policies among them, take
+from trial_rngs a fresh generator per trial that numpy's PCG64 seeds from
+the trial's row. Every confidence radius comes from from_samples or
+binomial_radius.
 
 Policies are callables (instance, rng) -> realized value for one draw of the
 element activities. Permutation policies probe in a fixed order whenever
@@ -64,14 +67,53 @@ def binomial_radius(p_hat: float, n: int) -> float:
 
 
 def trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """One generator per trial t < trials, seeded by the pair (seed, t).
+    """One fresh generator per trial t < trials, default_rng((seed, t)) exactly.
 
     Each trial's stream depends on (seed, trial index) alone, so callers may
-    split the trial range across workers without changing results.
+    split the trial range across workers without changing results. Trials
+    are seeded SEED_TRIALS at a time by numpy's SeedSequence hash-mix (see
+    _seed_blocks); numpy's PCG64 then seeds itself from its trial's row of
+    generate_state(4, uint64), so state, draws and spawned children are those
+    of default_rng((seed, t)). numpy checks the seed on the first trial, so a
+    bad one fails as it does in default_rng. Trial indices stay below 2^32.
     """
     if trials < 1:
         raise ConstraintError("trials must be at least 1")
-    return (np.random.default_rng((seed, t)) for t in range(trials))
+    return _trial_generators(seed, trials)
+
+
+def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    for t, state in _seed_blocks(seed, trials):
+        for index, row in zip(t.tolist(), state):
+            yield np.random.Generator(np.random.PCG64(_TrialSeed((seed, index), row)))
+
+
+class _TrialSeed(np.random.bit_generator.ISpawnableSeedSequence):
+    """The seed sequence of one trial, as PCG64 and Generator.spawn use it.
+
+    generate_state(4, np.uint64), the call PCG64 makes, returns the trial's
+    precomputed (read-only) row; any other request, and spawn, goes to
+    SeedSequence(entropy), built on first use, so children are those of
+    default_rng(entropy).
+    """
+
+    def __init__(self, entropy: tuple[int, int], state: np.ndarray):
+        self._entropy = entropy
+        self._state = state
+        self._sequence: Optional[np.random.SeedSequence] = None
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return self._state
+        return self._seed_sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._seed_sequence().spawn(n_children)
+
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        if self._sequence is None:
+            self._sequence = np.random.SeedSequence(self._entropy)
+        return self._sequence
 
 
 # numpy's SeedSequence hash-mix (after O'Neill's seed_seq_fe), in uint32
@@ -106,18 +148,30 @@ def trial_uniforms(seed: int, trials: int, k: int) -> Iterator[np.ndarray]:
 
 
 def _uniform_blocks(seed: int, trials: int, k: int) -> Iterator[np.ndarray]:
+    rows = max(1, BLOCK_DRAWS // max(k, 1))
+    for t, state in _seed_blocks(seed, trials):
+        u, inc = _pcg64_seed(state)
+        for r in range(0, len(t), rows):
+            yield _pcg64_uniforms(u[:, r : r + rows], inc[:, r : r + rows], k)
+
+
+def _seed_blocks(seed: int, trials: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Trial indices t < trials, SEED_TRIALS at a time, with their seed states.
+
+    Row i of a block's read-only state is
+    SeedSequence((seed, t[i])).generate_state(4, np.uint64).
+    """
     np.random.SeedSequence((seed, 0))  # numpy's own checks and errors
     seed = operator.index(seed)
     words = [seed & _MASK32]
     while seed > _MASK32:
         seed >>= 32
         words.append(seed & _MASK32)
-    rows = max(1, BLOCK_DRAWS // max(k, 1))
     for start in range(0, trials, SEED_TRIALS):
         t = np.arange(start, min(start + SEED_TRIALS, trials), dtype=np.uint32)
-        u, inc = _pcg64_seed(_seed_pool(words, t))
-        for r in range(0, len(t), rows):
-            yield _pcg64_uniforms(u[:, r : r + rows], inc[:, r : r + rows], k)
+        state = _seed_state(_seed_pool(words, t))
+        state.flags.writeable = False
+        yield t, state
 
 
 def _seed_pool(words: list[int], t: np.ndarray) -> list[np.ndarray]:
@@ -148,6 +202,21 @@ def _seed_pool(words: list[int], t: np.ndarray) -> list[np.ndarray]:
     return pool
 
 
+def _seed_state(pool: list[np.ndarray]) -> np.ndarray:
+    """Per trial, the row generate_state(4, np.uint64) gives for its pool.
+
+    Eight uint32 words are hashed out of the pool and paired, low word
+    first, into uint64 words, as numpy pairs them on every byte order.
+    """
+    hash_const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([words[i] | (words[i + 1] << 32) for i in range(0, 8, 2)], axis=1)
+
+
 @functools.lru_cache(maxsize=64)
 def _pcg64_jumps(k: int) -> tuple[np.ndarray, ...]:
     """For draws j = 1..k, A^(j+1) and 1 + A + ... + A^j as uint64 halves."""
@@ -168,21 +237,15 @@ def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
-def _pcg64_seed(pool: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _pcg64_seed(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per trial, u = initstate + inc and inc as rows (high, low) of uint64.
 
     pcg64_set_seed takes initstate and initseq from generate_state(4,
-    uint64), sets inc = 2 initseq + 1, steps from 0, adds initstate and
-    steps again: s_0 = A u + inc, so the state of draw j is
+    uint64), a row of state, sets inc = 2 initseq + 1, steps from 0, adds
+    initstate and steps again: s_0 = A u + inc, so the state of draw j is
     A^(j+1) u + (1 + A + ... + A^j) inc.
     """
-    hash_const, words = _INIT_B, []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        words.append((value ^ (value >> 16)).astype(np.uint64))
-    high0, low0, high1, low1 = (words[i] | (words[i + 1] << 32) for i in range(0, 8, 2))
+    high0, low0, high1, low1 = state.T
     inc_lo = (low1 << 1) | 1
     inc_hi = (high1 << 1) | (low1 >> 63)
     u_lo = low0 + inc_lo

@@ -71,8 +71,12 @@ class PathOutcome:
 
 def greedy_order(instance: ProbingInstance) -> tuple[int, ...]:
     """Elements by probability descending, ties by index ascending."""
-    probs = instance.probabilities()
-    return tuple(sorted(range(instance.n), key=lambda e: (-probs[e], e)))
+    return _order(instance.probabilities())
+
+
+def _order(probs: np.ndarray) -> tuple[int, ...]:
+    # a stable sort keeps equal probabilities (0.0 and -0.0 too) in index order
+    return tuple(np.argsort(-probs, kind="stable").tolist())
 
 
 def _activity_fn(activity: Activity, probs: np.ndarray) -> Callable[[int], bool]:
@@ -143,7 +147,7 @@ def _scan(
     """
     chain = build_deadline_laminar(instance) if with_deadlines else None
     deadlines = instance.deadlines() if with_deadlines else None
-    order = greedy_order(instance)
+    order = _order(probs)
 
     def run(draw: Callable[[int], bool]) -> PathOutcome:
         outer_check = instance.outer.checker()

@@ -51,7 +51,6 @@ from stochprobe.greedy import (
     _activity_fn,
     build_deadline_laminar,
     build_dual_certificate,
-    greedy_order,
 )
 from stochprobe.instance import ProbingInstance
 from stochprobe.lp import DualCertificate, check_dual, solve_probing_lp
@@ -386,7 +385,27 @@ def bland_reference(c, a, b, max_iterations: int = 50_000):
 # the package's per-trial helpers, which that change left alone. The
 # rounding draw and its execution are kept here too, as they stood before
 # estimate_policy_value hoisted their set-up and read batched uniforms.
+# trial_rngs and greedy_order are kept as they stood before trial generators
+# were seeded a block at a time and the order became a stable argsort; the
+# reference scans use that order.
 # ---------------------------------------------------------------------------
+
+
+def trial_rngs_reference(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """One generator per trial t < trials, seeded by the pair (seed, t).
+
+    Each trial's stream depends on (seed, trial index) alone, so callers may
+    split the trial range across workers without changing results.
+    """
+    if trials < 1:
+        raise ConstraintError("trials must be at least 1")
+    return (np.random.default_rng((seed, t)) for t in range(trials))
+
+
+def greedy_order_reference(instance: ProbingInstance) -> tuple[int, ...]:
+    """Elements by probability descending, ties by index ascending."""
+    probs = instance.probabilities()
+    return tuple(sorted(range(instance.n), key=lambda e: (-probs[e], e)))
 
 
 def simulate_reference(
@@ -627,7 +646,7 @@ def run_greedy_reference(instance: ProbingInstance, activity: Activity) -> PathO
     probed: list[int] = []
     chosen: set[int] = set()
     probability = 1.0
-    for e in greedy_order(instance):
+    for e in greedy_order_reference(instance):
         if not (outer_check.can_add(e) and inner_check.can_add(e)):
             continue
         outer_check.add(e)
@@ -659,7 +678,7 @@ def run_greedy_deadline_reference(instance: ProbingInstance, activity: Activity)
     skipped: set[int] = set()
     clock = 1
     probability = 1.0
-    for e in greedy_order(instance):
+    for e in greedy_order_reference(instance):
         if not (
             outer_check.can_add(e)
             and chain_check.can_add(e)
@@ -692,7 +711,7 @@ def enumerate_paths_reference(
         raise CapabilityError(
             f"exact path enumeration capped at {PATH_ENUMERATION_LIMIT} elements"
         )
-    order = greedy_order(instance)
+    order = greedy_order_reference(instance)
     probs = instance.probabilities()
     inner = instance.inner
     outer = instance.outer

@@ -120,6 +120,11 @@ class TestAuctionSpec:
             AuctionSpec(((0.5, 0.5), (1.0,)), UniformMatroid(2, 1))
         with pytest.raises(ConstraintError):
             AuctionSpec((), UniformMatroid(1, 1))
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConstraintError, match="agent 0 has a non-finite mass"):
+                AuctionSpec(((bad, 0.5, 0.5),), UniformMatroid(1, 1))
+            with pytest.raises(ConstraintError, match="agent 1 has a non-finite mass"):
+                AuctionSpec(((0.5, 0.5), (bad, 1.0)), UniformMatroid(2, 1))
 
     def test_rejects_mismatched_feasibility_universe(self):
         with pytest.raises(ConstraintError):

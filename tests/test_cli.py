@@ -169,6 +169,34 @@ def test_spm_without_draws_exits_2(capsys, best_of):
     assert "--best-of must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("round", "--instance", WEIGHTED, "--seed", "-1"),
+        ("simulate", "--instance", WEIGHTED, "--seed", "-1"),
+        ("spm", "--instance", AUCTION, "--seed", "-2"),
+        ("acceptance", "--seed", "-1"),
+    ],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be non-negative\n"
+
+
+def test_spm_document_with_nan_mass_exits_2(capsys, tmp_path):
+    doc = json.loads(open(AUCTION).read())
+    doc["agents"][0]["masses"][0] = float("nan")
+    path = tmp_path / "nan_mass.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    assert cli.main(["spm", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "agent 0 has a non-finite mass" in captured.err
+
+
 def _fake_results(failing):
     results = []
     for number in (1, 2):

@@ -4,7 +4,8 @@ Every estimator report must equal, with == and as pickled bytes, the report
 of the loop kept in oracles.py, at 1, 2 and 300 trials and past one block
 of trial_uniforms: the engine moves where the trial streams are made, not
 which numbers they give. trial_uniforms itself must give default_rng's
-doubles byte for byte.
+doubles byte for byte, and trial_rngs default_rng's generators: state,
+draws and spawned children.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ from oracles import (
     execute_reference,
     round_solution_reference,
     evaluate_spm_reference,
+    greedy_order_reference,
     run_greedy_deadline_reference,
     run_greedy_reference,
     simulate_reference,
+    trial_rngs_reference,
     verify_monotonicity_reference,
     verify_scheme_reference,
 )
 from stochprobe.auction import build_spm, evaluate_spm, solve_lp_p
-from stochprobe.constraints import ConstraintError, PartitionMatroid
+from stochprobe.constraints import ConstraintError, PartitionMatroid, UniformMatroid
 from stochprobe.crschemes import CrSchemeSpec, verify_monotonicity, verify_scheme
 from stochprobe.evaluate import (
     BLOCK_DRAWS,
@@ -111,6 +114,52 @@ UNIFORM_SEEDS = (
 )
 
 
+def stream_of(rng) -> tuple:
+    """A generator's state, some draws and its spawned children's first draws."""
+    return (
+        rng.bit_generator.state,
+        rng.random(5).tobytes(),
+        rng.integers(0, 1000, 5).tobytes(),
+        rng.permutation(7).tobytes(),
+        [(child.bit_generator.state, child.random(3).tobytes()) for child in rng.spawn(2)],
+        rng.bit_generator.state,
+    )
+
+
+@pytest.mark.parametrize("seed", UNIFORM_SEEDS)
+def test_trial_rngs_are_default_rng_generators(seed):
+    longest = SEED_TRIALS + 5
+    expected = [stream_of(rng) for rng in trial_rngs_reference(seed, longest)]
+    for trials in TRIALS + (longest,):
+        assert [stream_of(rng) for rng in trial_rngs(seed, trials)] == expected[:trials]
+
+
+def test_trial_rngs_are_distinct_independent_generators():
+    trials = SEED_TRIALS + 5
+    rngs = list(trial_rngs(3, trials))
+    assert len({id(rng) for rng in rngs}) == trials
+    assert len({id(rng.bit_generator) for rng in rngs}) == trials
+    # drawing from the later trials first leaves the earlier ones untouched
+    draws = [rng.random(2).tobytes() for rng in reversed(rngs)][::-1]
+    references = list(trial_rngs_reference(3, trials))
+    assert draws == [rng.random(2).tobytes() for rng in references]
+    # each spawn gives the next children, as numpy's seed sequence does
+    for rng, reference in zip(rngs[-3:], references[-3:]):
+        for _ in range(3):
+            (child,), (expected,) = rng.spawn(1), reference.spawn(1)
+            assert child.random(3).tobytes() == expected.random(3).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5])
+def test_trial_rngs_reject_seeds_lazily_as_default_rng_does(seed):
+    with pytest.raises((ValueError, TypeError)) as numpy_error:
+        np.random.default_rng((seed, 0))
+    rngs = trial_rngs(seed, 3)
+    with pytest.raises(numpy_error.type) as ours:
+        next(rngs)
+    assert str(ours.value) == str(numpy_error.value)
+
+
 def uniform_rows(seed: int, trials: int, k: int) -> np.ndarray:
     blocks = list(trial_uniforms(seed, trials, k))
     for block in blocks:
@@ -152,6 +201,24 @@ def test_trial_uniforms_reject_seeds_as_default_rng_does(seed):
 def test_trial_uniforms_reject_counts_below_one_before_the_seed(trials):
     with pytest.raises(ConstraintError, match="trials must be at least 1"):
         trial_uniforms(-1, trials, 4)
+
+
+def test_greedy_order_is_the_sorted_key_order():
+    def instance_with(probs):
+        n = len(probs)
+        return make_instance([1.0] * n, probs, UniformMatroid(n, 1), UniformMatroid(n, 1))
+
+    rng = np.random.default_rng(17)
+    levels = np.array([0.0, -0.0, 1.0, 0.5, 0.25])
+    cases = [[], [0.0], [-0.0, 0.0, -0.0], [1.0, 1.0, 0.0, -0.0, 0.5]]
+    for _ in range(500):
+        n = int(rng.integers(1, 30))
+        probs = np.where(rng.random(n) < 0.7, rng.choice(levels, n), rng.random(n))
+        cases.append(probs.tolist())
+    for probs in cases:
+        instance = instance_with(probs)
+        assert greedy_order(instance) == greedy_order_reference(instance)
+    assert greedy_order(instance_with([])) == ()
 
 
 def test_monte_carlo_reports_the_draws():
@@ -410,6 +477,12 @@ def test_estimators_match_loops_past_one_seed_block():
     spec = config.outer_scheme
     args = (spec, instance.outer, solution.y, trials, 15)
     assert_same(verify_scheme(*args), verify_scheme_reference(*args))
+    weights = instance.weights()
+    policy = lambda inst, rng: run_greedy(inst, rng).realized_value(weights)
+    assert_same(
+        simulate(policy, instance, trials, seed=17),
+        simulate_reference(policy, instance, trials, seed=17),
+    )
     auction = spm_matching_fixture(seed=4)
     mechanism = build_spm(auction, seed=0, solution=solve_lp_p(auction))
     assert_same(
