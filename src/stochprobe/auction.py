@@ -34,6 +34,7 @@ from .constraints import (
     LaminarMatroid,
     PartitionMatroid,
     UniformMatroid,
+    ordered_scan,
 )
 from .crschemes import CrSchemeSpec
 from .evaluate import PolicyValueReport, trial_uniforms
@@ -402,16 +403,15 @@ def evaluate_spm(
         raise ConstraintError(f"unknown mode {mode!r}")
     blocks = trial_uniforms(seed, trials, spec.n)
     cdfs = [np.cumsum(d) for d in spec.distributions]
+    price_of = dict(mechanism.offers)  # at most one offer per agent
 
     def revenue(sampled: list[int]) -> float:
-        checker = spec.feasibility.checker()
+        accepted = ordered_scan(
+            price_of, spec.feasibility.checker(), lambda a: sampled[a] >= price_of[a]
+        )[1]
         revenue = 0.0
-        for agent, price in mechanism.offers:
-            if not checker.can_add(agent):
-                continue
-            if sampled[agent] >= price:
-                checker.add(agent)
-                revenue += price
+        for agent in accepted:
+            revenue += price_of[agent]
         return revenue
 
     def valuations(block: np.ndarray) -> list[list[int]]:

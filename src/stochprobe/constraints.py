@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -334,6 +334,33 @@ class _ExplicitChecker(IndependenceChecker):
         self.mask |= 1 << e
 
 
+def ordered_scan(
+    order: Iterable[int],
+    choose: IndependenceChecker,
+    coin: Optional[Callable[[int], bool]] = None,
+    probe: Optional[IndependenceChecker] = None,
+) -> tuple[list[int], list[int]]:
+    """The fixed-order pass of greedy, rounding, ordered CR and SPM: lists of
+    the probed and the chosen elements, in scan order.
+
+    order is pulled one element at a time. e is probed when probe (if any)
+    and choose can both add it; it enters probe, then enters choose when
+    coin(e), asked only now, is true (always without a coin).
+    """
+    probed: list[int] = []
+    chosen: list[int] = []
+    for e in order:
+        if not ((probe is None or probe.can_add(e)) and choose.can_add(e)):
+            continue
+        if probe is not None:
+            probe.add(e)
+        probed.append(e)
+        if coin is None or coin(e):
+            choose.add(e)
+            chosen.append(e)
+    return probed, chosen
+
+
 # ---------------------------------------------------------------------------
 # variants
 # ---------------------------------------------------------------------------
@@ -346,12 +373,7 @@ class Matroid(ConstraintSystem):
     def _greedy(self, mask: int) -> tuple[IndependenceChecker, int]:
         """A checker fed mask's bits in ascending order, and how many it took."""
         chk = self.checker()
-        taken = 0
-        for e in _bits(mask):
-            if chk.can_add(e):
-                chk.add(e)
-                taken += 1
-        return chk, taken
+        return chk, len(ordered_scan(_bits(mask), chk)[1])
 
     def _rank_mask(self, mask: int) -> int:
         return self._greedy(mask)[1]

@@ -39,6 +39,7 @@ from .constraints import (
     ConstraintError,
     ConstraintSystem,
     PartitionMatroid,
+    ordered_scan,
 )
 from .evaluate import THREE_SIGMA_RADII, binomial_radius, trial_rngs, trial_uniforms
 
@@ -77,12 +78,7 @@ def resolve_ordered(
 ) -> frozenset[int]:
     """Greedily keep members of i that stay independent, scanning in order."""
     members = set(i)
-    checker = system.checker()
-    kept = set()
-    for e in order:
-        if e in members and checker.can_add(e):
-            checker.add(e)
-            kept.add(e)
+    kept = ordered_scan((e for e in order if e in members), system.checker())[1]
     return frozenset(kept)
 
 

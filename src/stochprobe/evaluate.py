@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .constraints import CapabilityError, ConstraintError, mask_tables
+from .constraints import CapabilityError, ConstraintError, mask_tables, ordered_scan
 from .instance import ProbingInstance
 
 Policy = Callable[[ProbingInstance, np.random.Generator], float]
@@ -75,10 +75,13 @@ def trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
     _seed_blocks); numpy's PCG64 then seeds itself from its trial's row of
     generate_state(4, uint64), so state, draws and spawned children are those
     of default_rng((seed, t)). numpy checks the seed on the first trial, so a
-    bad one fails as it does in default_rng. Trial indices stay below 2^32.
+    bad one fails as it does in default_rng. Trial indices are one uint32
+    word each, so trials above 2**32 are refused.
     """
     if trials < 1:
         raise ConstraintError("trials must be at least 1")
+    if trials > 2**32:
+        raise ConstraintError(f"trials must be at most 2**32, got {trials}")
     return _trial_generators(seed, trials)
 
 
@@ -140,10 +143,12 @@ def trial_uniforms(seed: int, trials: int, k: int) -> Iterator[np.ndarray]:
     trials and draws at once in uint64 halves. A block holds at most
     BLOCK_DRAWS doubles (at least one row). numpy checks the seed on the
     first block, so a bad one fails as it does in default_rng. Trial
-    indices stay below 2^32, one entropy word each.
+    indices are one uint32 word each, so trials above 2**32 are refused.
     """
     if trials < 1:
         raise ConstraintError("trials must be at least 1")
+    if trials > 2**32:
+        raise ConstraintError(f"trials must be at most 2**32, got {trials}")
     return _uniform_blocks(seed, trials, k)
 
 
@@ -296,24 +301,25 @@ def permutation_policy(
 
     With probe_probabilities, element e is only attempted after winning an
     independent coin with that probability (sample-then-scan rounding shape).
+    The order must list distinct non-negative elements, and each probe
+    probability must lie in [0, 1].
     """
+    if len(set(order)) < len(order) or any(e < 0 for e in order):
+        raise ConstraintError("order must list distinct non-negative elements")
+    q = probe_probabilities
+    if q is not None and not all(0.0 <= v <= 1.0 for v in q):
+        raise ConstraintError("probe probabilities must be finite and lie in [0, 1]")
 
     def run(instance: ProbingInstance, rng: np.random.Generator) -> float:
         probs = instance.probabilities()
         weights = instance.weights()
-        outer_check = instance.outer.checker()
-        inner_check = instance.inner.checker()
+        # the filter draws e's probe coin only when the scan asks for e
+        probes = order if q is None else (e for e in order if not rng.random() >= q[e])
+        inner, outer = instance.inner.checker(), instance.outer.checker()
+        chosen = ordered_scan(probes, inner, lambda e: rng.random() < probs[e], outer)[1]
         value = 0.0
-        for e in order:
-            if probe_probabilities is not None:
-                if rng.random() >= probe_probabilities[e]:
-                    continue
-            if not (outer_check.can_add(e) and inner_check.can_add(e)):
-                continue
-            outer_check.add(e)
-            if rng.random() < probs[e]:
-                inner_check.add(e)
-                value += float(weights[e])
+        for e in chosen:
+            value += float(weights[e])
         return value
 
     return run

@@ -5,9 +5,10 @@ whatever still fits both systems. A run yields a PathOutcome, and a path can
 be replayed into a dual certificate for the unweighted relaxation whose
 value is at most k_in*|S| + k_out*sum(p over probes) for that path.
 
-There is one scan (_scan). Simulation feeds it coin flips; exact path
-enumeration replays it once per path on recorded flips, and
-audit_certificates checks every path's certificate in one pass.
+There is one scan (_scan), on constraints.ordered_scan, the fixed-order pass
+that rounding, contention resolution and posted prices share too. Simulation
+feeds it coin flips; exact path enumeration replays it once per path on
+recorded flips, and audit_certificates checks every path's certificate.
 
 The deadline variant relaxes per-element deadlines into a laminar chain (at
 most t probes among elements with deadline <= t) and keeps a bookkeeping set
@@ -27,7 +28,9 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .constraints import CapabilityError, ConstraintError, LaminarMatroid
+from .constraints import (
+    CapabilityError, ConstraintError, IntersectionSystem, LaminarMatroid, ordered_scan
+)
 from .instance import ProbingInstance
 from .lp import DualCertificate, DualCheck, check_dual
 
@@ -142,45 +145,33 @@ def _scan(
     """The greedy scan over its per-instance set-up; each call is one run.
 
     A run probes e iff Q+e fits outer (and the deadline chain) and S+e fits
-    inner, then asks draw(e) for e's coin. A late element joins the
-    bookkeeping set and leaves the clock where it was.
+    inner, then asks draw(e) for e's coin. The clock, the bookkeeping set and
+    the path probability are read off the probes afterwards, as a skip never
+    changes the scan: a late element joins the bookkeeping set and leaves
+    the clock where it was.
     """
-    chain = build_deadline_laminar(instance) if with_deadlines else None
     deadlines = instance.deadlines() if with_deadlines else None
+    probe = instance.outer
+    if with_deadlines:
+        probe = IntersectionSystem((probe, build_deadline_laminar(instance)))
     order = _order(probs)
 
     def run(draw: Callable[[int], bool]) -> PathOutcome:
-        outer_check = instance.outer.checker()
-        chain_check = None if chain is None else chain.checker()
-        inner_check = instance.inner.checker()
-        probed: list[int] = []
-        chosen: set[int] = set()
+        probed, chosen = ordered_scan(
+            order, instance.inner.checker(), draw, probe.checker()
+        )
+        active = set(chosen)
         skipped: set[int] = set()
         clock = 1
         probability = 1.0
-        for e in order:
-            if not (
-                outer_check.can_add(e)
-                and (chain_check is None or chain_check.can_add(e))
-                and inner_check.can_add(e)
-            ):
-                continue
-            outer_check.add(e)
-            if chain_check is not None:
-                chain_check.add(e)
-            probed.append(e)
+        for e in probed:
             if deadlines is not None and clock > deadlines[e]:
                 skipped.add(e)
             else:
                 clock += 1
-            if draw(e):
-                probability *= float(probs[e])
-                inner_check.add(e)
-                chosen.add(e)
-            else:
-                probability *= float(1.0 - probs[e])
+            probability *= float(probs[e]) if e in active else float(1.0 - probs[e])
         return PathOutcome(
-            tuple(probed), frozenset(chosen), frozenset(skipped), probability
+            tuple(probed), frozenset(active), frozenset(skipped), probability
         )
 
     return run

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .constraints import CapabilityError, ConstraintError
+from .constraints import CapabilityError, ConstraintError, ordered_scan
 from .crschemes import (
     CrSchemeSpec,
     fixed_scheme_order,
@@ -148,21 +148,8 @@ def execute(
 ) -> frozenset[int]:
     """Probe the sequence under the inner constraint; return the chosen set."""
     draw = _activity_fn(activity, instance.probabilities())
-    return _probe(policy.probe_sequence, instance, draw)
-
-
-def _probe(
-    sequence: Sequence[int], instance: ProbingInstance, draw: Callable[[int], bool]
-) -> frozenset[int]:
-    checker = instance.inner.checker()
-    chosen = set()
-    for e in sequence:
-        if not checker.can_add(e):
-            continue
-        if draw(e):
-            checker.add(e)
-            chosen.add(e)
-    return frozenset(chosen)
+    chosen = ordered_scan(policy.probe_sequence, instance.inner.checker(), draw)[1]
+    return frozenset(set(chosen))
 
 
 def estimate_policy_value(
@@ -193,8 +180,11 @@ def estimate_policy_value(
     sequence, draws = _rounding_draw(instance, y, config)
 
     def value(random: Callable[[], float], rng=None) -> float:
-        chosen = _probe(sequence(random, rng), instance, lambda e: random() < probs[e])
-        return sum(weights[e] for e in chosen)
+        chosen = ordered_scan(
+            sequence(random, rng), instance.inner.checker(), lambda e: random() < probs[e]
+        )[1]
+        # frozenset(chosen) could iterate, so sum w(S), in another order
+        return sum(weights[e] for e in frozenset(set(chosen)))
 
     if draws is None:
         return monte_carlo(lambda rng: value(rng.random, rng), trials, seed)

@@ -3,9 +3,9 @@
 The brute-force oracles pin expected values independently of the
 implementation under test: they enumerate or scan scalar by scalar and share
 no code with the package's fast paths. The reference loops at the end are
-the package's former Monte Carlo loops, greedy scans, recursive path
-enumeration, certificate audits and adaptive-optimum recursion, and the
-exact value of a permutation policy; they reuse its per-trial helpers,
+the package's former Monte Carlo loops, greedy and ordered scans, recursive
+path enumeration, certificate audits and adaptive-optimum recursion, and
+the exact value of a permutation policy; they reuse its per-trial helpers,
 per-path certificate builder and mask tables."""
 
 from __future__ import annotations
@@ -387,7 +387,9 @@ def bland_reference(c, a, b, max_iterations: int = 50_000):
 # estimate_policy_value hoisted their set-up and read batched uniforms.
 # trial_rngs and greedy_order are kept as they stood before trial generators
 # were seeded a block at a time and the order became a stable argsort; the
-# reference scans use that order.
+# reference scans use that order. permutation_policy and resolve_ordered are
+# kept as they stood before every fixed-order scan ran through
+# constraints.ordered_scan.
 # ---------------------------------------------------------------------------
 
 
@@ -635,6 +637,50 @@ def evaluate_spm_reference(
                 revenue += price
         values[t] = revenue
     return PolicyValueReport.from_samples(values)
+
+
+def permutation_policy_reference(
+    order: Sequence[int], probe_probabilities: Optional[Sequence[float]] = None
+) -> Policy:
+    """Probe elements in the given order whenever both systems permit.
+
+    With probe_probabilities, element e is only attempted after winning an
+    independent coin with that probability (sample-then-scan rounding shape).
+    """
+
+    def run(instance: ProbingInstance, rng: np.random.Generator) -> float:
+        probs = instance.probabilities()
+        weights = instance.weights()
+        outer_check = instance.outer.checker()
+        inner_check = instance.inner.checker()
+        value = 0.0
+        for e in order:
+            if probe_probabilities is not None:
+                if rng.random() >= probe_probabilities[e]:
+                    continue
+            if not (outer_check.can_add(e) and inner_check.can_add(e)):
+                continue
+            outer_check.add(e)
+            if rng.random() < probs[e]:
+                inner_check.add(e)
+                value += float(weights[e])
+        return value
+
+    return run
+
+
+def resolve_ordered_reference(
+    system: ConstraintSystem, order: Sequence[int], i: Iterable[int]
+) -> frozenset[int]:
+    """Greedily keep members of i that stay independent, scanning in order."""
+    members = set(i)
+    checker = system.checker()
+    kept = set()
+    for e in order:
+        if e in members and checker.can_add(e):
+            checker.add(e)
+            kept.add(e)
+    return frozenset(kept)
 
 
 def run_greedy_reference(instance: ProbingInstance, activity: Activity) -> PathOutcome:

@@ -13,6 +13,7 @@ from stochprobe.constraints import (
     ConstraintError,
     ExplicitSystem,
     GraphicMatroid,
+    IndependenceChecker,
     IntersectionSystem,
     LaminarMatroid,
     PartitionMatroid,
@@ -20,6 +21,7 @@ from stochprobe.constraints import (
     UniformMatroid,
     mask_of,
     mask_tables,
+    ordered_scan,
 )
 
 from oracles import (
@@ -206,6 +208,78 @@ def test_uniform_zero_rank_span_is_everything():
     m = UniformMatroid(universe_size=3, limit=0)
     assert m.span([]) == {0, 1, 2}
     assert m.rank([0, 1]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the one fixed-order scan
+# ---------------------------------------------------------------------------
+
+
+class RecordingChecker(IndependenceChecker):
+    """Logs every call to a shared log and refuses the elements in refuse."""
+
+    def __init__(self, name, log, refuse=()):
+        self.name, self.log, self.refuse = name, log, set(refuse)
+
+    def can_add(self, e):
+        self.log.append((self.name, "can_add", e))
+        return e not in self.refuse
+
+    def add(self, e):
+        self.log.append((self.name, "add", e))
+
+
+def test_ordered_scan_asks_in_the_contract_order():
+    # probe refuses 1, choose refuses 3, and 2's coin comes up tails
+    log = []
+    heads = {0: True, 2: False, 4: True}
+
+    def order():
+        for e in range(5):
+            log.append(("order", e))
+            yield e
+
+    def coin(e):
+        log.append(("coin", e))
+        return heads[e]
+
+    probe = RecordingChecker("probe", log, refuse={1})
+    choose = RecordingChecker("choose", log, refuse={3})
+    assert ordered_scan(order(), choose, coin, probe) == ([0, 2, 4], [0, 4])
+    assert log == [
+        ("order", 0),
+        ("probe", "can_add", 0), ("choose", "can_add", 0), ("probe", "add", 0),
+        ("coin", 0), ("choose", "add", 0),
+        ("order", 1),
+        ("probe", "can_add", 1),
+        ("order", 2),
+        ("probe", "can_add", 2), ("choose", "can_add", 2), ("probe", "add", 2),
+        ("coin", 2),
+        ("order", 3),
+        ("probe", "can_add", 3), ("choose", "can_add", 3),
+        ("order", 4),
+        ("probe", "can_add", 4), ("choose", "can_add", 4), ("probe", "add", 4),
+        ("coin", 4), ("choose", "add", 4),
+    ]
+
+
+def test_ordered_scan_without_probe_or_coin():
+    log = []
+    choose = RecordingChecker("choose", log, refuse={1})
+    assert ordered_scan(iter(range(3)), choose) == ([0, 2], [0, 2])
+    assert log == [
+        ("choose", "can_add", 0), ("choose", "add", 0),
+        ("choose", "can_add", 1),
+        ("choose", "can_add", 2), ("choose", "add", 2),
+    ]
+    # a coin alone: everything fits, tails are probed but not chosen
+    assert ordered_scan(range(4), UniformMatroid(4, 4).checker(), lambda e: e % 2 == 0) == (
+        [0, 1, 2, 3], [0, 2]
+    )
+    # a probe checker alone: every probe is chosen, within both ranks
+    inner, outer = UniformMatroid(4, 3).checker(), UniformMatroid(4, 2).checker()
+    assert ordered_scan(range(4), inner, probe=outer) == ([0, 1], [0, 1])
+    assert ordered_scan([], inner) == ([], [])
 
 
 # ---------------------------------------------------------------------------

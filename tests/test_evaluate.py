@@ -141,6 +141,28 @@ def test_order_must_be_permutation():
         exact_nonadaptive_value([0, 0], inst)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "order, coins, message",
+    [
+        # on uniform rank-2 systems with weights (1, 2) and p = 1, these
+        # scored 2.0 by choosing 0 twice, probed element 1, and admitted 0
+        ([0, 0], None, "distinct non-negative"),
+        ([-1], None, "distinct non-negative"),
+        ([0, 1], [NAN, 1.0], "finite"),
+        ([0, 1], [float("inf"), 1.0], "finite"),
+        ([0, 1], [1.0, 1.5], "lie in"),
+        ([0, 1], [-0.25, 1.0], "lie in"),
+    ],
+)
+def test_permutation_policy_rejects_bad_inputs_when_built(order, coins, message):
+    with pytest.raises(ConstraintError, match=message):
+        permutation_policy(order, coins)
+    permutation_policy([1, 0], [0.0, 1.0])  # the ends of [0, 1] are coins too
+
+
 def test_optimal_adaptive_examples():
     single = make_instance([1], [0.5], UniformMatroid(1, 1), UniformMatroid(1, 1))
     assert optimal_adaptive(single) == pytest.approx(0.5)

@@ -22,6 +22,8 @@ from oracles import (
     round_solution_reference,
     evaluate_spm_reference,
     greedy_order_reference,
+    permutation_policy_reference,
+    resolve_ordered_reference,
     run_greedy_deadline_reference,
     run_greedy_reference,
     simulate_reference,
@@ -30,8 +32,18 @@ from oracles import (
     verify_scheme_reference,
 )
 from stochprobe.auction import build_spm, evaluate_spm, solve_lp_p
-from stochprobe.constraints import ConstraintError, PartitionMatroid, UniformMatroid
-from stochprobe.crschemes import CrSchemeSpec, verify_monotonicity, verify_scheme
+from stochprobe.constraints import (
+    ConstraintError,
+    ExplicitSystem,
+    PartitionMatroid,
+    UniformMatroid,
+)
+from stochprobe.crschemes import (
+    CrSchemeSpec,
+    resolve_ordered,
+    verify_monotonicity,
+    verify_scheme,
+)
 from stochprobe.evaluate import (
     BLOCK_DRAWS,
     SEED_TRIALS,
@@ -44,6 +56,7 @@ from stochprobe.evaluate import (
     trial_uniforms,
 )
 from stochprobe.fixtures import (
+    load_appendix_fixtures,
     random_instance,
     random_system,
     spm_matching_fixture,
@@ -203,6 +216,18 @@ def test_trial_uniforms_reject_counts_below_one_before_the_seed(trials):
         trial_uniforms(-1, trials, 4)
 
 
+@pytest.mark.parametrize(
+    "stream",
+    [trial_rngs, lambda seed, trials: trial_uniforms(seed, trials, 4)],
+    ids=["trial_rngs", "trial_uniforms"],
+)
+def test_trial_streams_refuse_counts_that_would_wrap(stream):
+    # trial indices are uint32 words; both streams are lazy, so none is drawn
+    with pytest.raises(ConstraintError, match=r"trials must be at most 2\*\*32"):
+        stream(0, 2**32 + 1)
+    stream(0, 2**32)
+
+
 def test_greedy_order_is_the_sorted_key_order():
     def instance_with(probs):
         n = len(probs)
@@ -360,6 +385,64 @@ def test_verify_monotonicity_random_choice_matches_loop():
             verify_monotonicity(spec, system, small, big, e),
             verify_monotonicity_reference(spec, system, small, big, e),
         )
+
+
+def permutation_cases(family: str):
+    """(instance, order, probe coins) triples on one test family.
+
+    On a KINDS family: a full and a partial random order, with no coins and
+    with coins that include 0 and 1. On "appendix": criterion 11's naive
+    orders, without coins and with its coins b * y.
+    """
+    if family == "appendix":
+        cases = []
+        for fixture in load_appendix_fixtures(10):
+            b = default_config(fixture.instance).b
+            coins = [b * v for v in fixture.y]
+            cases += [(fixture.instance, fixture.order, c) for c in (None, coins)]
+        return cases
+    instance = instance_of(family, seed=30)
+    rng = np.random.default_rng(31)
+    order = [int(e) for e in rng.permutation(instance.n)]
+    coins = [0.0, 1.0] + [float(c) for c in rng.random(instance.n - 2)]
+    return [(instance, o, c) for o in (order, order[:5]) for c in (None, coins)]
+
+
+@pytest.mark.parametrize("trials", TRIALS + (SEED_TRIALS + 3,))
+@pytest.mark.parametrize("family", KINDS + ("appendix",))
+def test_permutation_policy_matches_loop(family, trials):
+    for instance, order, coins in permutation_cases(family):
+        assert_same(
+            simulate(permutation_policy(order, coins), instance, trials, seed=6),
+            simulate(permutation_policy_reference(order, coins), instance, trials, seed=6),
+        )
+
+
+def random_explicit(rng: np.random.Generator, n: int) -> ExplicitSystem:
+    """The downward closure of three random sets."""
+    tops = [int(m) for m in rng.integers(0, 1 << n, size=3)]
+    family = frozenset(m for m in range(1 << n) if any(m & ~top == 0 for top in tops))
+    return ExplicitSystem(universe_size=n, family=family)
+
+
+@pytest.mark.parametrize("kind", ("uniform",) + KINDS + ("explicit",))
+def test_resolve_ordered_matches_loop(kind):
+    rng = np.random.default_rng(40)
+    for n in (1, 4, 10):
+        for _ in range(30):
+            if kind == "explicit":
+                system = random_explicit(rng, n)
+            elif kind == "intersection":
+                system = random_system(rng, max(n, 2), members=2)
+            else:
+                system = random_system(rng, max(n, 2), kinds=(kind,))
+            size = system.universe_size
+            order = [int(e) for e in rng.permutation(size)]
+            order = order[: int(rng.integers(0, size + 1))]
+            members = [e for e in range(size) if rng.random() < 0.6]
+            assert resolve_ordered(system, order, members) == resolve_ordered_reference(
+                system, order, members
+            )
 
 
 @pytest.mark.parametrize("trials", TRIALS)
