@@ -20,8 +20,9 @@ import numpy as np
 
 SEPARATION_TOL = 1e-9
 
-# Enumeration-backed variants precompute full bitmask tables up to this size;
-# between this and ENUMERATION_LIMIT they enumerate subsets of the support.
+# Enumeration-backed variants precompute mask tables over the whole universe up
+# to this size; above it, over the queried mask or the support of a point, of at
+# most ENUMERATION_LIMIT elements.
 MASK_TABLE_LIMIT = 16
 ENUMERATION_LIMIT = 20
 EXPLICIT_UNIVERSE_LIMIT = 15
@@ -795,49 +796,45 @@ class ExplicitSystem(ConstraintSystem):
 
 
 # ---------------------------------------------------------------------------
-# enumeration machinery: mask tables for every variant, rank and separation
-# by search for intersections and explicit families
+# enumeration machinery: mask tables, the one method behind exact rank and
+# separation for intersections and explicit families; over the universe up to
+# MASK_TABLE_LIMIT, over the queried mask or the support of x above it
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MaskTables:
-    independent: np.ndarray  # bool, 2^n
-    rank: np.ndarray  # int16, 2^n
+    independent: np.ndarray  # bool, 2^len(elements)
+    rank: np.ndarray  # int16, 2^len(elements)
+
+
+def _build_tables(system: ConstraintSystem, elements: Sequence[int]) -> MaskTables:
+    """Independence and rank of every subset of elements; bit i of a table
+    index stands for elements[i]."""
+    masks = [0]
+    for e in elements:
+        bit = 1 << e
+        masks += [m | bit for m in masks]
+    size = len(masks)
+    indep = bytearray(size)
+    indep[0] = 1
+    # downward closure: a set can only be independent if removing its lowest
+    # bit leaves an independent set, which prunes most membership calls
+    for i in range(1, size):
+        if indep[i & (i - 1)] and system._indep_mask(masks[i]):
+            indep[i] = 1
+    independent = np.frombuffer(indep, dtype=bool).copy()
+    rank = np.where(independent, _subset_sums(np.ones(len(elements))), 0).astype(np.int16)
+    # rank[S] = max(rank[S], rank[S - e]) for each element in turn
+    for i in range(len(elements)):
+        halves = rank.reshape(-1, 2, 1 << i)
+        np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return MaskTables(independent=independent, rank=rank)
 
 
 @lru_cache(maxsize=64)
 def _tables(system: ConstraintSystem) -> MaskTables:
-    n = system.universe_size
-    size = 1 << n
-    indep = np.zeros(size, dtype=bool)
-    indep[0] = True
-    # downward closure: a set can only be independent if removing its lowest
-    # bit leaves an independent set, which prunes most membership calls
-    for mask in range(1, size):
-        if indep[mask & (mask - 1)] and system._indep_mask(mask):
-            indep[mask] = True
-    rank = np.zeros(size, dtype=np.int16)
-    for mask in range(1, size):
-        if indep[mask]:
-            rank[mask] = _popcount(mask)
-        else:
-            best = 0
-            m = mask
-            while m:
-                low = m & -m
-                r = rank[mask ^ low]
-                if r > best:
-                    best = r
-                m ^= low
-            rank[mask] = best
-    return MaskTables(independent=indep, rank=rank)
-
-
-def _try_tables(system: ConstraintSystem) -> Optional[MaskTables]:
-    if system.universe_size <= MASK_TABLE_LIMIT:
-        return _tables(system)
-    return None
+    return _build_tables(system, range(system.universe_size))
 
 
 def mask_tables(system: ConstraintSystem) -> MaskTables:
@@ -849,33 +846,18 @@ def mask_tables(system: ConstraintSystem) -> MaskTables:
 
 
 def _rank_by_search(system: ConstraintSystem, mask: int) -> int:
-    """Exact rank via DFS over independent subsets (downward closure lets us
-    grow one element at a time)."""
+    """Exact rank from mask tables over the universe, or above
+    MASK_TABLE_LIMIT from the size of an independent mask and otherwise from
+    tables over its bits."""
     if _popcount(mask) > ENUMERATION_LIMIT:
         raise CapabilityError(
             f"exact rank by enumeration capped at {ENUMERATION_LIMIT} elements"
         )
-    tables = _try_tables(system)
-    if tables is not None:
-        return int(tables.rank[mask])
-    elements = list(_bits(mask))
-
-    best = 0
-
-    def grow(current: int, start: int, size: int):
-        nonlocal best
-        best = max(best, size)
-        remaining = len(elements) - start
-        if size + remaining <= best:
-            return
-        for i in range(start, len(elements)):
-            bit = 1 << elements[i]
-            cand = current | bit
-            if system._indep_mask(cand):
-                grow(cand, i + 1, size + 1)
-
-    grow(0, 0, 0)
-    return best
+    if system.universe_size <= MASK_TABLE_LIMIT:
+        return int(_tables(system).rank[mask])
+    if system._indep_mask(mask):
+        return _popcount(mask)
+    return int(_build_tables(system, list(_bits(mask))).rank[-1])
 
 
 def _separate_by_enumeration(
@@ -884,43 +866,41 @@ def _separate_by_enumeration(
     """Exact separation over the rank polytope.
 
     The most violated set is always attained on a subset of the support of x
-    (adding a zero-weight element cannot decrease rank), so we enumerate
-    support subsets only.
+    (adding a zero-weight element cannot decrease rank), so above
+    MASK_TABLE_LIMIT the tables span the support only. There a tie goes to
+    the smallest nonempty set, then the lexicographically first.
     """
-    n = system.universe_size
-    support = [int(e) for e in np.flatnonzero(x > 0)]
-    tables = _try_tables(system)
-    if tables is not None:
-        sums = _subset_sums(x, n)
+    if system.universe_size <= MASK_TABLE_LIMIT:
+        tables = _tables(system)
+        sums = _subset_sums(x)
         excess = sums - tables.rank
         best = int(np.argmax(excess))
         if excess[best] > tol:
             return SubsetWitness(set_of(best), float(sums[best]), int(tables.rank[best]))
         return None
+    support = np.flatnonzero(x > 0).tolist()
     if len(support) > ENUMERATION_LIMIT:
         raise CapabilityError(
             f"separation by enumeration capped at support size {ENUMERATION_LIMIT}"
         )
-    best_w = None
-    for size in range(1, len(support) + 1):
-        for combo in itertools.combinations(support, size):
-            mask = 0
-            total = 0.0
-            for e in combo:
-                mask |= 1 << e
-                total += float(x[e])
-            rank = system._rank_mask(mask)
-            excess = total - rank
-            if excess > tol and (best_w is None or excess > best_w[0]):
-                best_w = (excess, frozenset(combo), total, rank)
-    if best_w is None:
+    tables = _build_tables(system, support)
+    sums = _subset_sums(x[support])
+    excess = sums - tables.rank
+    excess[0] = -np.inf
+    top = excess.max()
+    if not top > tol:
         return None
-    return SubsetWitness(*best_w[1:])
+    best = min(
+        np.flatnonzero(excess == top).tolist(),
+        key=lambda i: (_popcount(i), list(_bits(i))),
+    )
+    members = frozenset(support[i] for i in _bits(best))
+    return SubsetWitness(members, float(sums[best]), int(tables.rank[best]))
 
 
-def _subset_sums(x: np.ndarray, n: int) -> np.ndarray:
-    """sums[mask] = sum of x over the bits of mask, built by doubling."""
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """sums[i] = sum of values over the bits of i, built by doubling."""
     sums = np.zeros(1)
-    for e in range(n):
-        sums = np.concatenate([sums, sums + float(x[e])])
+    for v in values:
+        sums = np.concatenate([sums, sums + float(v)])
     return sums

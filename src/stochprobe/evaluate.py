@@ -301,16 +301,26 @@ def permutation_policy(
 
     With probe_probabilities, element e is only attempted after winning an
     independent coin with that probability (sample-then-scan rounding shape).
-    The order must list distinct non-negative elements, and each probe
-    probability must lie in [0, 1].
+    The order must list distinct non-negative elements of the instance's
+    universe, and probe probabilities, one per element up to the largest in
+    the order, must lie in [0, 1].
     """
     if len(set(order)) < len(order) or any(e < 0 for e in order):
         raise ConstraintError("order must list distinct non-negative elements")
+    top = max(order, default=-1)
     q = probe_probabilities
     if q is not None and not all(0.0 <= v <= 1.0 for v in q):
         raise ConstraintError("probe probabilities must be finite and lie in [0, 1]")
+    if q is not None and len(q) <= top:
+        raise ConstraintError(
+            f"probe probabilities cover {len(q)} elements, the order needs {top + 1}"
+        )
 
     def run(instance: ProbingInstance, rng: np.random.Generator) -> float:
+        if top >= instance.n:
+            raise ConstraintError(
+                f"order element {top} outside universe of size {instance.n}"
+            )
         probs = instance.probabilities()
         weights = instance.weights()
         # the filter draws e's probe coin only when the scan asks for e

@@ -5,8 +5,10 @@ implementation under test: they enumerate or scan scalar by scalar and share
 no code with the package's fast paths. The reference loops at the end are
 the package's former Monte Carlo loops, greedy and ordered scans, recursive
 path enumeration, certificate audits and adaptive-optimum recursion, and
-the exact value of a permutation policy; they reuse its per-trial helpers,
-per-path certificate builder and mask tables."""
+the exact value of a permutation policy, and the rank search and support
+enumeration that exact rank and separation used above the mask-table cap;
+they reuse its per-trial helpers, per-path certificate builder and mask
+tables."""
 
 from __future__ import annotations
 
@@ -24,9 +26,13 @@ from stochprobe.auction import (
     _exact_revenue,
 )
 from stochprobe.constraints import (
+    ENUMERATION_LIMIT,
     CapabilityError,
     ConstraintError,
     ConstraintSystem,
+    SubsetWitness,
+    _bits,
+    _popcount,
     mask_tables,
 )
 from stochprobe.crschemes import (
@@ -987,3 +993,59 @@ def optimal_adaptive_reference(instance: ProbingInstance) -> float:
     result = value(0, 0)
     value.cache_clear()
     return result
+
+
+def rank_by_search_reference(system: ConstraintSystem, mask: int) -> int:
+    """The former constraints._rank_by_search above MASK_TABLE_LIMIT: exact
+    rank via DFS over independent subsets (downward closure lets us grow one
+    element at a time)."""
+    if _popcount(mask) > ENUMERATION_LIMIT:
+        raise CapabilityError(
+            f"exact rank by enumeration capped at {ENUMERATION_LIMIT} elements"
+        )
+    elements = list(_bits(mask))
+
+    best = 0
+
+    def grow(current: int, start: int, size: int):
+        nonlocal best
+        best = max(best, size)
+        remaining = len(elements) - start
+        if size + remaining <= best:
+            return
+        for i in range(start, len(elements)):
+            bit = 1 << elements[i]
+            cand = current | bit
+            if system._indep_mask(cand):
+                grow(cand, i + 1, size + 1)
+
+    grow(0, 0, 0)
+    return best
+
+
+def separate_by_enumeration_reference(
+    system: ConstraintSystem, x: np.ndarray, tol: float
+) -> Optional[SubsetWitness]:
+    """The former constraints._separate_by_enumeration above
+    MASK_TABLE_LIMIT: every subset of the support, smallest first, with
+    ranks from rank_by_search_reference."""
+    support = [int(e) for e in np.flatnonzero(x > 0)]
+    if len(support) > ENUMERATION_LIMIT:
+        raise CapabilityError(
+            f"separation by enumeration capped at support size {ENUMERATION_LIMIT}"
+        )
+    best_w = None
+    for size in range(1, len(support) + 1):
+        for combo in itertools.combinations(support, size):
+            mask = 0
+            total = 0.0
+            for e in combo:
+                mask |= 1 << e
+                total += float(x[e])
+            rank = rank_by_search_reference(system, mask)
+            excess = total - rank
+            if excess > tol and (best_w is None or excess > best_w[0]):
+                best_w = (excess, frozenset(combo), total, rank)
+    if best_w is None:
+        return None
+    return SubsetWitness(*best_w[1:])

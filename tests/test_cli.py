@@ -94,6 +94,22 @@ def test_certify_reports_per_path_verdicts(capsys):
         assert row["value"] <= row["cap"] + 1e-9
 
 
+def test_certify_truncates_the_paths_table_past_256_paths(capsys, tmp_path):
+    # free systems and p = 0.5: all nine elements are probed, 2^9 paths
+    instance = make_instance(
+        [1.0] * 9, [0.5] * 9, UniformMatroid(9, 9), UniformMatroid(9, 9)
+    )
+    path = tmp_path / "free9.json"
+    path.write_text(emit_instance(instance))
+    code, out = run_cli(capsys, "certify", "--instance", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["metrics"]["path_count"]["value"] == 512
+    assert doc["flags"]["paths_truncated"] is True
+    assert doc["flags"]["per_path_feasible"]
+    assert "paths" not in doc
+
+
 def test_verify_cr_covers_both_sides(capsys):
     code, out = run_cli(
         capsys, "verify-cr", "--instance", WEIGHTED, "--trials", "500"

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochprobe.constraints import (
+    ENUMERATION_LIMIT,
+    MASK_TABLE_LIMIT,
+    SEPARATION_TOL,
     CapabilityError,
     ConstraintError,
     ExplicitSystem,
@@ -23,6 +26,9 @@ from stochprobe.constraints import (
     mask_tables,
     ordered_scan,
 )
+from stochprobe.fixtures import random_system
+from stochprobe.instance import make_instance
+from stochprobe.lp import solve_probing_lp
 
 from oracles import (
     brute_k_parameter,
@@ -33,6 +39,8 @@ from oracles import (
     brute_span,
     graph_is_forest,
     powerset,
+    rank_by_search_reference,
+    separate_by_enumeration_reference,
 )
 
 
@@ -364,6 +372,108 @@ def test_numpy_integer_elements_past_63():
     assert m.rank(np.array([70, 79])) == 1
     assert m.span(np.array([70])) == frozenset(range(80))
     assert not m.is_independent(np.array([63, 64]))
+
+
+# ---------------------------------------------------------------------------
+# past the mask-table cap: tables over the queried mask or the support, against
+# the rank search and support enumeration they replaced
+# ---------------------------------------------------------------------------
+
+
+def span_reference(system, t):
+    base = rank_by_search_reference(system, mask_of(t, system.universe_size))
+    return frozenset(
+        e for e in range(system.universe_size)
+        if e in t or rank_by_search_reference(system, mask_of({*t, e}, system.universe_size)) == base
+    )
+
+
+def test_enumeration_past_mask_tables_matches_references():
+    rng = np.random.default_rng(20)
+    for case in range(40):
+        n = int(rng.integers(MASK_TABLE_LIMIT + 1, ENUMERATION_LIMIT + 1))
+        system = random_system(rng, n, members=int(rng.integers(2, 4)))
+        support = rng.choice(n, int(rng.integers(0, 13)), replace=False)
+        x = np.zeros(n)
+        # coarse values tie many excesses, so the tie-break decides the witness
+        x[support] = rng.integers(1, 5, len(support)) / 4 if case % 2 else rng.random(len(support))
+        witness = system.separate(x)
+        expected = separate_by_enumeration_reference(system, x, SEPARATION_TOL)
+        assert witness == expected
+        if witness is not None:
+            assert witness.value.hex() == expected.value.hex()
+        for size in (0, 1, 5, 12):
+            t = [int(e) for e in rng.choice(n, size, replace=False)]
+            assert system.rank(t) == rank_by_search_reference(system, mask_of(t, n))
+        t = {int(e) for e in rng.choice(n, int(rng.integers(0, 6)), replace=False)}
+        assert system.span(t) == span_reference(system, t)
+
+
+def test_enumeration_past_mask_tables_keeps_its_caps():
+    n = ENUMERATION_LIMIT + 2
+    system = IntersectionSystem((UniformMatroid(n, 3), UniformMatroid(n, 4)))
+    assert system.rank(range(ENUMERATION_LIMIT)) == 3
+    with pytest.raises(CapabilityError, match="exact rank by enumeration capped at 20 elements"):
+        system.rank(range(ENUMERATION_LIMIT + 1))
+    assert system.separate([0.15] * ENUMERATION_LIMIT + [0.0, 0.0]) is None
+    witness = system.separate([0.25] * ENUMERATION_LIMIT + [0.0, 0.0])
+    assert witness == SubsetWitness(frozenset(range(ENUMERATION_LIMIT)), 5.0, 3)
+    with pytest.raises(CapabilityError, match="separation by enumeration capped at support size 20"):
+        system.separate([0.25] * n)
+
+
+@pytest.mark.parametrize("left, right, values, members", [
+    # stars {0, 1, 4} and {0, 2, 3} tie at excess 0.5; the lower mask loses
+    (((4,), (1,), (0, 2, 3)), ((0, 1, 4), (3,), (2,)), [0.5] * 5, {0, 1, 4}),
+    # stars {2, 4} and {3, 4} tie at excess 0.25; the higher mask loses
+    (((0, 1, 2), (3, 4)), ((1,), (2, 4), (0, 3)), [0.25, 0.25, 0.5, 0.5, 0.75], {2, 4}),
+])
+def test_enumeration_past_mask_tables_breaks_ties_as_the_combination_loop(
+    left, right, values, members
+):
+    # bipartite matchings on edges 0..4, elements 5..16 free: the smallest
+    # most violated set wins, then the lexicographically first
+    n = MASK_TABLE_LIMIT + 1
+    system = IntersectionSystem((
+        PartitionMatroid(n, parts=left, capacities=(1,) * len(left)),
+        PartitionMatroid(n, parts=right, capacities=(1,) * len(right)),
+    ))
+    x = np.array(values + [0.0] * (n - 5))
+    witness = system.separate(x)
+    assert witness.members == members and witness.rank == 1
+    assert witness == separate_by_enumeration_reference(system, x, SEPARATION_TOL)
+    # below zero tolerance the empty set still never wins
+    x = np.array([0.25] + [0.0] * (n - 1))
+    expected = SubsetWitness(frozenset({0}), 0.25, 1)
+    assert system.separate(x, tol=-1.0) == expected
+    assert separate_by_enumeration_reference(system, x, -1.0) == expected
+
+
+def two_partition_instance(n):
+    """Inner: blocks of three consecutive elements (capacity 1) intersected
+    with the residues mod 4 (capacity 2); outer: free."""
+    blocks = tuple(tuple(range(i, min(i + 3, n))) for i in range(0, n, 3))
+    residues = tuple(tuple(range(r, n, 4)) for r in range(4))
+    inner = IntersectionSystem((
+        PartitionMatroid(n, blocks, (1,) * len(blocks)),
+        PartitionMatroid(n, residues, (2,) * 4),
+    ))
+    weights = [1 + (7 * e % 11) / 4 for e in range(n)]
+    probs = [0.3 + (5 * e % 7) / 10 for e in range(n)]
+    return make_instance(weights, probs, inner, UniformMatroid(n, n))
+
+
+def test_lp_over_an_18_element_two_partition_intersection():
+    inst = two_partition_instance(18)
+    sol = solve_probing_lp(inst)
+    assert (sol.objective, sol.rounds, sol.pivots) == (16.375000000000007, 9, 245)
+    x = np.asarray(sol.x)
+    assert ((x >= -SEPARATION_TOL) & (x <= 1 + SEPARATION_TOL)).all()
+    # two partition matroids: their part rows describe the intersection
+    # polytope, so they prove x feasible without a 2^14-subset reference scan
+    for member in inst.inner.members:
+        for part, cap in zip(member.parts, member.capacities):
+            assert x[list(part)].sum() <= cap + SEPARATION_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -155,12 +155,25 @@ NAN = float("nan")
         ([0, 1], [float("inf"), 1.0], "finite"),
         ([0, 1], [1.0, 1.5], "lie in"),
         ([0, 1], [-0.25, 1.0], "lie in"),
+        # these ended in an IndexError inside simulate
+        ([0, 1], [0.5], "cover 1 elements, the order needs 2"),
+        ([3], [1.0, 1.0, 1.0], "cover 3 elements, the order needs 4"),
     ],
 )
 def test_permutation_policy_rejects_bad_inputs_when_built(order, coins, message):
     with pytest.raises(ConstraintError, match=message):
         permutation_policy(order, coins)
     permutation_policy([1, 0], [0.0, 1.0])  # the ends of [0, 1] are coins too
+
+
+@pytest.mark.parametrize("coins", [None, [1.0] * 6])
+def test_permutation_policy_rejects_elements_outside_the_universe(coins):
+    policy = permutation_policy([1, 5], coins)
+    with pytest.raises(ConstraintError, match="order element 5 outside universe of size 2"):
+        simulate(policy, two_element_fixture(), 3, 0)
+    # an order inside the universe may skip elements, and may be empty
+    assert simulate(permutation_policy([1], coins), two_element_fixture(), 3, 0).trials == 3
+    assert simulate(permutation_policy([]), two_element_fixture(), 3, 0).mean == 0.0
 
 
 def test_optimal_adaptive_examples():

@@ -275,3 +275,10 @@ def test_negative_multiplier_is_rejected():
         inst, alpha={frozenset({0}): 2.0}, beta={frozenset({0}): -0.5}
     )
     assert not check_dual(cert, inst).feasible
+    cert = DualCertificate.build(
+        inst, alpha={frozenset({0}): -0.5}, beta={frozenset({0}): 2.0}
+    )
+    check = check_dual(cert, inst)
+    assert not check.feasible
+    assert check.worst_slack == -0.5
+
