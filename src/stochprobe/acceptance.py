@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -521,14 +521,6 @@ def run_criterion(
     )
 
 
-def run_all(
-    seed: int = 0, report: Optional[Callable[[CriterionResult], None]] = None
-) -> list[CriterionResult]:
+def run_all(seed: int = 0) -> list[CriterionResult]:
     suite = build_ratio_suite(seed)
-    results = []
-    for number in CRITERIA:
-        result = run_criterion(number, seed=seed, suite=suite)
-        results.append(result)
-        if report is not None:
-            report(result)
-    return results
+    return [run_criterion(number, seed=seed, suite=suite) for number in CRITERIA]

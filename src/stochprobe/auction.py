@@ -92,9 +92,6 @@ class AuctionSpec:
         out[0] = 1.0
         return out
 
-    def copy_index(self, agent: int, price: int) -> int:
-        return agent * (self.B + 1) + price
-
     def agent_price(self, element: int) -> tuple[int, int]:
         return divmod(element, self.B + 1)
 

@@ -183,6 +183,11 @@ class ConstraintSystem:
     def _indep_mask(self, mask: int) -> bool:
         raise NotImplementedError
 
+    def _indep_table(self, elements: Sequence[int]) -> np.ndarray:
+        """Independence of every subset of elements as one bool array; bit i
+        of an index stands for elements[i]."""
+        raise NotImplementedError
+
     def _rank_mask(self, mask: int) -> int:
         return _rank_by_search(self, mask)
 
@@ -197,6 +202,12 @@ class ConstraintSystem:
     def span(self, t: Iterable[int]) -> frozenset[int]:
         """Elements whose addition does not raise the rank of t."""
         mask = mask_of(t, self.universe_size)
+        if self.universe_size <= MASK_TABLE_LIMIT:
+            rank = _tables(self).rank
+            bits = 1 << np.arange(self.universe_size)
+            for e in np.flatnonzero(rank[mask | bits] == rank[mask]).tolist():
+                mask |= 1 << e
+            return set_of(mask)
         base = self._rank_mask(mask)
         out = mask
         for e in range(self.universe_size):
@@ -470,6 +481,9 @@ class UniformMatroid(Matroid):
     def _indep_mask(self, mask: int) -> bool:
         return _popcount(mask) <= self.limit
 
+    def _indep_table(self, elements: Sequence[int]) -> np.ndarray:
+        return _capacity_table(elements, (elements,), (self.limit,))
+
     def _separate(self, x: np.ndarray, tol: float) -> Optional[SubsetWitness]:
         support = np.flatnonzero(x > 0)
         if len(support) <= self.limit:
@@ -526,6 +540,9 @@ class PartitionMatroid(Matroid):
             for pm, cap in zip(self._part_masks, self.capacities)
         )
 
+    def _indep_table(self, elements: Sequence[int]) -> np.ndarray:
+        return _capacity_table(elements, self.parts, self.capacities)
+
     def _separate(self, x: np.ndarray, tol: float) -> Optional[SubsetWitness]:
         return _separate_capacity_sets(self, self.parts, x, tol)
 
@@ -579,6 +596,9 @@ class LaminarMatroid(Matroid):
             for sm, cap in zip(self._set_masks, self.capacities)
         )
 
+    def _indep_table(self, elements: Sequence[int]) -> np.ndarray:
+        return _capacity_table(elements, self.sets, self.capacities)
+
     def _separate(self, x: np.ndarray, tol: float) -> Optional[SubsetWitness]:
         return _separate_capacity_sets(self, self.sets, x, tol)
 
@@ -617,6 +637,31 @@ class GraphicMatroid(Matroid):
             if not uf.union(u, v):
                 return False
         return True
+
+    def _indep_table(self, elements: Sequence[int]) -> np.ndarray:
+        """Forests among the subsets, doubled one edge at a time.
+
+        Row i of labels names, for each vertex the edges touch, a component
+        of subset i of the edges so far. Edge (u, v) closes a cycle in the
+        rows where u and v share a label, and elsewhere merges v's
+        component into u's. The last edge needs no labels after it.
+        """
+        ends = [self.edges[e] for e in elements]
+        vertex = {w: i for i, w in enumerate(sorted({w for end in ends for w in end}))}
+        size = 1 << len(elements)
+        independent = np.ones(size, dtype=bool)
+        labels = np.empty((max(size // 2, 1), len(vertex)), dtype=np.min_scalar_type(len(vertex)))
+        labels[0] = np.arange(len(vertex))
+        for j, (u, v) in enumerate(ends):
+            half = 1 << j
+            below = labels[:half]
+            lu, lv = below[:, vertex[u]], below[:, vertex[v]]
+            independent[half : 2 * half] = independent[:half] & (lu != lv)
+            if 2 * half < size:
+                above = labels[half : 2 * half]
+                above[...] = below
+                np.copyto(above, lu[:, None], where=below == lv[:, None])
+        return independent
 
     def _separate(self, x: np.ndarray, tol: float) -> Optional[SubsetWitness]:
         """Worst induced-subgraph constraint, found by one min-cut per root.
@@ -715,7 +760,15 @@ class IntersectionSystem(ConstraintSystem):
         return self.members[0].universe_size
 
     def _indep_mask(self, mask: int) -> bool:
+        if self.universe_size <= MASK_TABLE_LIMIT:
+            return bool(_tables(self).independent[mask])
         return all(m._indep_mask(mask) for m in self.members)
+
+    def _indep_table(self, elements: Sequence[int]) -> np.ndarray:
+        independent = self.members[0]._indep_table(elements)
+        for m in self.members[1:]:
+            independent &= m._indep_table(elements)
+        return independent
 
     def k_parameter(self) -> int:
         return sum(m.k_parameter() for m in self.members)
@@ -758,6 +811,16 @@ class ExplicitSystem(ConstraintSystem):
     def _indep_mask(self, mask: int) -> bool:
         return mask in self.family
 
+    def _indep_table(self, elements: Sequence[int]) -> np.ndarray:
+        family = np.fromiter(self.family, dtype=np.int64, count=len(self.family))
+        inside = family[family & ~mask_of(elements, self.universe_size) == 0]
+        index = np.zeros(len(inside), dtype=np.int64)
+        for i, e in enumerate(elements):
+            index |= (inside >> e & 1) << i
+        independent = np.zeros(1 << len(elements), dtype=bool)
+        independent[index] = True
+        return independent
+
     def k_parameter(self) -> int:
         """Smallest integer k such that max/min maximal sizes stay within k.
 
@@ -796,9 +859,11 @@ class ExplicitSystem(ConstraintSystem):
 
 
 # ---------------------------------------------------------------------------
-# enumeration machinery: mask tables, the one method behind exact rank and
-# separation for intersections and explicit families; over the universe up to
-# MASK_TABLE_LIMIT, over the queried mask or the support of x above it
+# enumeration machinery: mask tables, the one method behind exact rank, span,
+# membership and separation for intersections and explicit families; over the
+# universe up to MASK_TABLE_LIMIT, over the queried mask or the support of x
+# above it. Each variant builds its independence table with whole-array ops
+# (_indep_table); the rank table follows from it.
 # ---------------------------------------------------------------------------
 
 
@@ -811,20 +876,8 @@ class MaskTables:
 def _build_tables(system: ConstraintSystem, elements: Sequence[int]) -> MaskTables:
     """Independence and rank of every subset of elements; bit i of a table
     index stands for elements[i]."""
-    masks = [0]
-    for e in elements:
-        bit = 1 << e
-        masks += [m | bit for m in masks]
-    size = len(masks)
-    indep = bytearray(size)
-    indep[0] = 1
-    # downward closure: a set can only be independent if removing its lowest
-    # bit leaves an independent set, which prunes most membership calls
-    for i in range(1, size):
-        if indep[i & (i - 1)] and system._indep_mask(masks[i]):
-            indep[i] = 1
-    independent = np.frombuffer(indep, dtype=bool).copy()
-    rank = np.where(independent, _subset_sums(np.ones(len(elements))), 0).astype(np.int16)
+    independent = system._indep_table(elements)
+    rank = np.where(independent, _subset_counts((True,) * len(elements)), 0).astype(np.int16)
     # rank[S] = max(rank[S], rank[S - e]) for each element in turn
     for i in range(len(elements)):
         halves = rank.reshape(-1, 2, 1 << i)
@@ -896,6 +949,29 @@ def _separate_by_enumeration(
     )
     members = frozenset(support[i] for i in _bits(best))
     return SubsetWitness(members, float(sums[best]), int(tables.rank[best]))
+
+
+def _subset_counts(flags: Sequence[bool]) -> np.ndarray:
+    """counts[i] = how many bits of i have their flag set (uint8), built by
+    doubling."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for flag in flags:
+        counts = np.concatenate([counts, counts + 1 if flag else counts])
+    return counts
+
+
+def _capacity_table(
+    elements: Sequence[int], sets: Sequence[Sequence[int]], capacities: Sequence[int]
+) -> np.ndarray:
+    """Subsets of elements that take at most capacities[j] members of each
+    sets[j]; a set too small to overflow its capacity is skipped."""
+    independent = np.ones(1 << len(elements), dtype=bool)
+    for s, cap in zip(sets, capacities):
+        members = set(s)
+        flags = [e in members for e in elements]
+        if sum(flags) > cap:
+            independent &= _subset_counts(flags) <= cap
+    return independent
 
 
 def _subset_sums(values: np.ndarray) -> np.ndarray:

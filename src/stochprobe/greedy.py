@@ -67,10 +67,6 @@ class PathOutcome:
     def realized_value(self, weights: Sequence[float]) -> float:
         return float(sum(weights[e] for e in self.chosen - self.skipped_deadline))
 
-    def coupled_value(self, weights: Sequence[float]) -> float:
-        """Value of the deadline-free coupled run (counts bookkeeping picks)."""
-        return float(sum(weights[e] for e in self.chosen))
-
 
 def greedy_order(instance: ProbingInstance) -> tuple[int, ...]:
     """Elements by probability descending, ties by index ascending."""

@@ -5,10 +5,12 @@ implementation under test: they enumerate or scan scalar by scalar and share
 no code with the package's fast paths. The reference loops at the end are
 the package's former Monte Carlo loops, greedy and ordered scans, recursive
 path enumeration, certificate audits and adaptive-optimum recursion, and
-the exact value of a permutation policy, and the rank search and support
-enumeration that exact rank and separation used above the mask-table cap;
-they reuse its per-trial helpers, per-path certificate builder and mask
-tables."""
+the exact value of a permutation policy, the per-subset membership loop
+that built the mask tables, and the rank search and support enumeration
+that exact rank and separation used above the mask-table cap; they reuse
+its per-trial helpers, per-path certificate builder and mask tables, but
+the table and rank references ask membership of an intersection's members,
+so they read no table."""
 
 from __future__ import annotations
 
@@ -30,9 +32,12 @@ from stochprobe.constraints import (
     CapabilityError,
     ConstraintError,
     ConstraintSystem,
+    IntersectionSystem,
+    MaskTables,
     SubsetWitness,
     _bits,
     _popcount,
+    _subset_sums,
     mask_tables,
 )
 from stochprobe.crschemes import (
@@ -995,6 +1000,38 @@ def optimal_adaptive_reference(instance: ProbingInstance) -> float:
     return result
 
 
+def indep_mask_reference(system: ConstraintSystem, mask: int) -> bool:
+    """Membership without mask tables: an intersection ANDs its members'
+    scalar checks, which read no table."""
+    if isinstance(system, IntersectionSystem):
+        return all(m._indep_mask(mask) for m in system.members)
+    return system._indep_mask(mask)
+
+
+def build_tables_reference(system: ConstraintSystem, elements: Sequence[int]) -> MaskTables:
+    """The former constraints._build_tables: one membership call per subset,
+    pruned by downward closure, then the same rank sweep."""
+    masks = [0]
+    for e in elements:
+        bit = 1 << e
+        masks += [m | bit for m in masks]
+    size = len(masks)
+    indep = bytearray(size)
+    indep[0] = 1
+    # downward closure: a set can only be independent if removing its lowest
+    # bit leaves an independent set, which prunes most membership calls
+    for i in range(1, size):
+        if indep[i & (i - 1)] and indep_mask_reference(system, masks[i]):
+            indep[i] = 1
+    independent = np.frombuffer(indep, dtype=bool).copy()
+    rank = np.where(independent, _subset_sums(np.ones(len(elements))), 0).astype(np.int16)
+    # rank[S] = max(rank[S], rank[S - e]) for each element in turn
+    for i in range(len(elements)):
+        halves = rank.reshape(-1, 2, 1 << i)
+        np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return MaskTables(independent=independent, rank=rank)
+
+
 def rank_by_search_reference(system: ConstraintSystem, mask: int) -> int:
     """The former constraints._rank_by_search above MASK_TABLE_LIMIT: exact
     rank via DFS over independent subsets (downward closure lets us grow one
@@ -1016,7 +1053,7 @@ def rank_by_search_reference(system: ConstraintSystem, mask: int) -> int:
         for i in range(start, len(elements)):
             bit = 1 << elements[i]
             cand = current | bit
-            if system._indep_mask(cand):
+            if indep_mask_reference(system, cand):
                 grow(cand, i + 1, size + 1)
 
     grow(0, 0, 0)

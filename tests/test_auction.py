@@ -108,7 +108,7 @@ class TestAuctionSpec:
         spec = uniform12_spec(agents=3)
         for agent in range(3):
             for price in range(3):
-                e = spec.copy_index(agent, price)
+                e = agent * (spec.B + 1) + price
                 assert spec.agent_price(e) == (agent, price)
 
     def test_rejects_bad_masses(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from stochprobe.constraints import (
     ENUMERATION_LIMIT,
+    EXPLICIT_UNIVERSE_LIMIT,
     MASK_TABLE_LIMIT,
     SEPARATION_TOL,
     CapabilityError,
@@ -22,9 +23,11 @@ from stochprobe.constraints import (
     PartitionMatroid,
     SubsetWitness,
     UniformMatroid,
+    _build_tables,
     mask_of,
     mask_tables,
     ordered_scan,
+    set_of,
 )
 from stochprobe.fixtures import random_system
 from stochprobe.instance import make_instance
@@ -37,6 +40,7 @@ from oracles import (
     brute_rank,
     brute_separate,
     brute_span,
+    build_tables_reference,
     graph_is_forest,
     powerset,
     rank_by_search_reference,
@@ -557,6 +561,168 @@ def test_closed_forms_agree_with_brute_force():
             for s in powerset(range(n)):
                 assert closed_form_rank(system, s) == brute_rank(indep, s)
                 assert closed_form_span(system, s) == brute_span(indep, range(n), s)
+
+
+# ---------------------------------------------------------------------------
+# whole-array independence tables against the per-subset loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def random_explicit(rng, n, seen):
+    """Every subset of three random masks: downward closed by construction."""
+    tops = [int(m) for m in rng.integers(0, 1 << n, size=3)]
+    family = frozenset(m for m in range(1 << n) if any(m & ~top == 0 for top in tops))
+    return ExplicitSystem(n, family)
+
+
+def random_intersection(rng, n, seen):
+    draws = (random_uniform, random_partition, random_laminar, random_graphic)
+    members = [draws[int(i)](rng, n, seen) for i in rng.integers(0, 4, size=int(rng.integers(2, 4)))]
+    if len(members) == 3 and rng.random() < 0.5:
+        seen.add("nested")
+        return IntersectionSystem((IntersectionSystem(tuple(members[:2])), members[2]))
+    return IntersectionSystem(tuple(members))
+
+
+def wide_graphic(rng, n, seen):
+    """Up to n + 3 vertices, so some stay isolated, with loops and parallel
+    edges mixed in."""
+    vertices = int(rng.integers(1, n + 4))
+    edges = []
+    for _ in range(n):
+        u, v = (int(w) for w in rng.integers(0, vertices, size=2))
+        kind = rng.random()
+        if kind < 0.1:
+            v = u
+        elif kind < 0.2 and edges:
+            u, v = edges[-1]
+        edges.append((u, v))
+    touched = {w for edge in edges for w in edge}
+    seen.update(k for k, on in [
+        ("loop", any(u == v for u, v in edges)),
+        ("parallel", len(set(map(frozenset, edges))) < len(edges)),
+        ("isolated", len(touched) < vertices),
+    ] if on)
+    return GraphicMatroid(n, vertex_count=vertices, edges=tuple(edges))
+
+
+TABLE_DRAWS = {
+    "uniform": random_uniform, "partition": random_partition, "laminar": random_laminar,
+    "graphic": wide_graphic, "explicit": random_explicit, "intersection": random_intersection,
+}
+
+
+def assert_tables_equal(got, expected):
+    for name in ("independent", "rank"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", TABLE_DRAWS)
+def test_indep_tables_equal_the_per_subset_loop(variant):
+    rng = np.random.default_rng(22)
+    seen = set()
+    for n in range(13):
+        for _ in range(3):
+            system = TABLE_DRAWS[variant](rng, n, seen)
+            assert_tables_equal(mask_tables(system), build_tables_reference(system, range(n)))
+            # a subset of the universe in a shuffled order
+            elements = [int(e) for e in rng.permutation(n)[: int(rng.integers(0, n + 1))]]
+            assert_tables_equal(
+                _build_tables(system, elements), build_tables_reference(system, elements)
+            )
+    if variant == "graphic":
+        assert seen >= {"loop", "parallel", "isolated"}
+    if variant == "intersection":
+        assert "nested" in seen
+
+
+@pytest.mark.parametrize("k", range(MASK_TABLE_LIMIT + 1, ENUMERATION_LIMIT + 1))
+def test_indep_tables_over_supports_past_the_universe_cap(k):
+    # low ranks keep the per-subset reference fast: about a second for all five
+    n = ENUMERATION_LIMIT + 2
+    rng = np.random.default_rng(k)
+    support = sorted(int(e) for e in rng.choice(n, k, replace=False))
+    blocks = tuple(tuple(support[i::5]) for i in range(5))
+    systems = [
+        UniformMatroid(n, 4),
+        PartitionMatroid(n, blocks[:4], (1, 0, 2, 1)),
+        LaminarMatroid(n, (blocks[0], blocks[0] + blocks[1], tuple(range(n))), (2, 3, 5)),
+        GraphicMatroid(n, 7, tuple((e % 6, e * e % 6) for e in range(n))),
+    ]
+    systems.append(IntersectionSystem((systems[k % 4], systems[(k + 1) % 4])))
+    for system in systems:
+        assert_tables_equal(_build_tables(system, support), build_tables_reference(system, support))
+
+
+def brute_independent(system):
+    """Membership from the members' closed-form ranks, no tables."""
+    return lambda s: all(closed_form_rank(m, s) == len(s) for m in system.members)
+
+
+@pytest.mark.parametrize("sizes", [range(0, MASK_TABLE_LIMIT - 3), range(17, 19)],
+                         ids=["tables", "scalar"])
+def test_intersection_span_and_membership_match_brute_force(sizes):
+    rng = np.random.default_rng(2022)
+    for _ in range(20):
+        n = int(rng.choice(sizes))
+        system = random_intersection(rng, n, set())
+        indep = brute_independent(system)
+        for _ in range(40):
+            s = set_of(int(rng.integers(0, 1 << n)))
+            assert system.is_independent(s) == indep(s)
+        for size in (0, 1, 3, 5):
+            t = frozenset(int(e) for e in rng.choice(n, min(size, n), replace=False))
+            assert system.span(t) == brute_span(indep, range(n), t)
+
+
+# every input check and cap of this module, with its exception and message
+CHECKS = [
+    (lambda: UniformMatroid(-1, 0), ConstraintError,
+     "uniform matroid needs universe_size >= 0 and limit >= 0"),
+    (lambda: UniformMatroid(3, -1), ConstraintError,
+     "uniform matroid needs universe_size >= 0 and limit >= 0"),
+    (lambda: PartitionMatroid(3, ((0,),), (1, 1)), ConstraintError,
+     "parts and capacities must have equal length"),
+    (lambda: PartitionMatroid(3, ((3,),), (1,)), ConstraintError,
+     "element 3 outside universe of size 3"),
+    (lambda: PartitionMatroid(3, ((0, 1), (1, 2)), (1, 1)), ConstraintError,
+     "partition parts overlap"),
+    (lambda: PartitionMatroid(3, ((0,),), (-1,)), ConstraintError, "negative capacity"),
+    (lambda: LaminarMatroid(3, ((0,),), ()), ConstraintError,
+     "sets and capacities must have equal length"),
+    (lambda: LaminarMatroid(3, ((0,),), (-1,)), ConstraintError, "negative capacity"),
+    (lambda: LaminarMatroid(3, ((0, -1),), (1,)), ConstraintError,
+     "element -1 outside universe of size 3"),
+    (lambda: LaminarMatroid(3, ((0, 1), (1, 2)), (1, 1)), ConstraintError,
+     "laminar family violates nesting"),
+    (lambda: GraphicMatroid(2, 3, ((0, 1),)), ConstraintError, "one edge per element required"),
+    (lambda: GraphicMatroid(1, 2, ((0, 2),)), ConstraintError,
+     "edge endpoint outside vertex range"),
+    (lambda: GraphicMatroid(1, 2, ((-1, 0),)), ConstraintError,
+     "edge endpoint outside vertex range"),
+    (lambda: IntersectionSystem(()), ConstraintError, "intersection needs at least one member"),
+    (lambda: IntersectionSystem((UniformMatroid(2, 1), UniformMatroid(3, 1))), ConstraintError,
+     "intersection members disagree on universe size"),
+    (lambda: ExplicitSystem(EXPLICIT_UNIVERSE_LIMIT + 1, frozenset({0})), CapabilityError,
+     "explicit variant capped at universe size 15"),
+    (lambda: ExplicitSystem(2, frozenset({1})), ConstraintError,
+     "explicit family must contain the empty set"),
+    (lambda: ExplicitSystem(2, frozenset({0, 4})), ConstraintError,
+     "family mask outside universe"),
+    (lambda: ExplicitSystem(2, frozenset({0, 3})), ConstraintError,
+     "explicit family is not downward closed"),
+    (lambda: mask_tables(UniformMatroid(MASK_TABLE_LIMIT + 1, 1)), CapabilityError,
+     "mask tables capped at universe size 16"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", CHECKS)
+def test_input_checks_and_caps_name_themselves(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
